@@ -205,6 +205,21 @@ emit(const Table &table, const BenchOptions &options)
     }
 }
 
+/**
+ * The result of the study point (see DesignSpace::study) whose
+ * configuration satisfies @p match; fatal if there is none.
+ */
+template <class Match>
+const RunResult &
+studyResult(const std::vector<DesignPoint> &points, Match match)
+{
+    for (const DesignPoint &point : points) {
+        if (match(point.config))
+            return point.result;
+    }
+    fatal("study point missing from the sweep");
+}
+
 /// @name Workload factories scaled by the bench options.
 /// @{
 inline DesignSpace::WorkloadFactory

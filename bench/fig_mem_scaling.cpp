@@ -11,7 +11,7 @@
  * every miss in flight fights for the same row buffer and the
  * execution time balloons; adding banks and channels buys the
  * parallelism back, and FR-FCFS recovers more of it than FCFS at
- * the same geometry. With --results the sweep lands in a
+ * the same geometry. With --results the study lands in a
  * ResultStore (each record tagged with its mem/channels/banks/
  * memSched axes), which is the data behind the mem-scaling curves
  * scripts/sweep_plot.py renders.
@@ -58,7 +58,7 @@ main(int argc, char **argv)
 
     // The contention-free reference: the same machine and workload
     // on the paper's flat backend, run through the same
-    // deterministic reseed-by-key path the sweeps use.
+    // deterministic reseed-by-key path the study uses.
     auto factory = bench::barnesFactory(options);
     RunResult flat;
     {
@@ -68,18 +68,30 @@ main(int argc, char **argv)
         flat = runParallel(base, *workload);
     }
 
-    auto points = DesignSpace::memScalingSweep(
-        factory, base, channelCounts, bankCounts, scheds,
-        options.sweep.verbose);
+    std::vector<MachineConfig> configs;
+    for (MemSched sched : scheds) {
+        for (int channels : channelCounts) {
+            for (int banks : bankCounts) {
+                MachineConfig config = base;
+                config.dram.kind = MemBackendKind::Banked;
+                config.dram.channels = channels;
+                config.dram.banks = banks;
+                config.dram.sched = sched;
+                configs.push_back(config);
+            }
+        }
+    }
+    auto points = DesignSpace::study(
+        factory, configs, {"mem", "channels", "banks", "memSched"});
 
     auto pointAt = [&](MemSched sched, int channels,
-                       int banks) -> const MemPoint & {
-        for (const MemPoint &p : points) {
-            if (p.sched == sched && p.channels == channels &&
-                p.banks == banks)
-                return p;
-        }
-        fatal("mem scaling point missing from sweep");
+                       int banks) -> const RunResult & {
+        return bench::studyResult(
+            points, [&](const MachineConfig &c) {
+                return c.dram.sched == sched &&
+                       c.dram.channels == channels &&
+                       c.dram.banks == banks;
+            });
     };
 
     auto comboName = [](int channels, MemSched sched) {
@@ -95,37 +107,26 @@ main(int argc, char **argv)
             header.push_back(comboName(channels, sched));
     header.push_back("flat");
     time.setHeader(header);
-    for (int banks : bankCounts) {
-        std::vector<std::string> row = {
-            Table::cell((std::uint64_t)banks)};
-        for (MemSched sched : scheds) {
-            for (int channels : channelCounts) {
-                row.push_back(Table::cell(
-                    pointAt(sched, channels, banks).result.cycles));
-            }
-        }
-        row.push_back(Table::cell(flat.cycles));
-        time.addRow(row);
-    }
-    bench::emit(time, options);
-
     Table hits("Memory scaling: DRAM row-buffer hit rate");
     hits.setHeader(header);
     for (int banks : bankCounts) {
-        std::vector<std::string> row = {
+        std::vector<std::string> timeRow = {
             Table::cell((std::uint64_t)banks)};
+        std::vector<std::string> hitRow = timeRow;
         for (MemSched sched : scheds) {
             for (int channels : channelCounts) {
-                row.push_back(Table::cell(
-                    pointAt(sched, channels, banks)
-                        .result.dramRowHitRate,
-                    4));
+                const RunResult &r = pointAt(sched, channels, banks);
+                timeRow.push_back(Table::cell(r.cycles));
+                hitRow.push_back(Table::cell(r.dramRowHitRate, 4));
             }
         }
+        timeRow.push_back(Table::cell(flat.cycles));
         // The flat backend has no row buffers; its column reads 0.
-        row.push_back(Table::cell(flat.dramRowHitRate, 4));
-        hits.addRow(row);
+        hitRow.push_back(Table::cell(flat.dramRowHitRate, 4));
+        time.addRow(timeRow);
+        hits.addRow(hitRow);
     }
+    bench::emit(time, options);
     bench::emit(hits, options);
     return 0;
 }

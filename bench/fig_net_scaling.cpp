@@ -55,50 +55,50 @@ main(int argc, char **argv)
     base.bus.transferOccupancy =
         (Cycle)options.config.getInt("bus-occupancy", 8);
 
-    auto points = DesignSpace::netScalingSweep(
-        bench::barnesFactory(options), base, clusterCounts,
-        topologies, options.sweep.verbose);
+    std::vector<MachineConfig> configs;
+    for (NetTopology topology : topologies) {
+        for (int clusters : clusterCounts) {
+            MachineConfig config = base;
+            config.numClusters = clusters;
+            config.net.topology = topology;
+            configs.push_back(config);
+        }
+    }
+    auto points = DesignSpace::study(bench::barnesFactory(options),
+                                     configs, {"clusters", "net"});
 
     auto pointAt = [&](NetTopology topology,
-                       int clusters) -> const NetPoint & {
-        for (const NetPoint &p : points) {
-            if (p.topology == topology && p.clusters == clusters)
-                return p;
-        }
-        fatal("net scaling point missing from sweep");
+                       int clusters) -> const RunResult & {
+        return bench::studyResult(
+            points, [&](const MachineConfig &c) {
+                return c.net.topology == topology &&
+                       c.numClusters == clusters;
+            });
     };
 
     Table time("Interconnect scaling: execution time (cycles), "
                "Barnes 4P/cluster, 64KB SCC");
     time.setHeader({"Clusters", "atomic", "split", "tree",
                     "tree/atomic"});
-    for (int clusters : clusterCounts) {
-        const NetPoint &a = pointAt(NetTopology::Atomic, clusters);
-        const NetPoint &s = pointAt(NetTopology::Split, clusters);
-        const NetPoint &t = pointAt(NetTopology::Tree, clusters);
-        time.addRow({Table::cell((std::uint64_t)clusters),
-                     Table::cell(a.result.cycles),
-                     Table::cell(s.result.cycles),
-                     Table::cell(t.result.cycles),
-                     Table::cell((double)t.result.cycles /
-                                     (double)a.result.cycles,
-                                 3)});
-    }
-    bench::emit(time, options);
-
     Table util("Interconnect scaling: fabric utilization");
     util.setHeader({"Clusters", "atomic", "split", "tree",
                     "busTx (atomic)"});
     for (int clusters : clusterCounts) {
-        const NetPoint &a = pointAt(NetTopology::Atomic, clusters);
-        const NetPoint &s = pointAt(NetTopology::Split, clusters);
-        const NetPoint &t = pointAt(NetTopology::Tree, clusters);
+        const RunResult &a = pointAt(NetTopology::Atomic, clusters);
+        const RunResult &s = pointAt(NetTopology::Split, clusters);
+        const RunResult &t = pointAt(NetTopology::Tree, clusters);
+        time.addRow({Table::cell((std::uint64_t)clusters),
+                     Table::cell(a.cycles), Table::cell(s.cycles),
+                     Table::cell(t.cycles),
+                     Table::cell((double)t.cycles / (double)a.cycles,
+                                 3)});
         util.addRow({Table::cell((std::uint64_t)clusters),
-                     Table::cell(a.result.busUtilization, 4),
-                     Table::cell(s.result.busUtilization, 4),
-                     Table::cell(t.result.busUtilization, 4),
-                     Table::cell(a.result.busTransactions)});
+                     Table::cell(a.busUtilization, 4),
+                     Table::cell(s.busUtilization, 4),
+                     Table::cell(t.busUtilization, 4),
+                     Table::cell(a.busTransactions)});
     }
+    bench::emit(time, options);
     bench::emit(util, options);
     return 0;
 }

@@ -3,7 +3,7 @@
  * Cache-isolation study: what does closing the shared-cache side
  * channel cost on this machine?
  *
- * Two halves, both through DesignSpace::isolationSweep over
+ * Two halves, both through DesignSpace::study over
  * {none, waypart, color, rand} × {2, 4} security domains at a
  * fixed 4-way 64KB SCC (4 ways so way partitioning divides).
  *
@@ -17,7 +17,7 @@
  * contention, and each row reports the spy's probe accuracy and
  * the measured mutual information in bits/epoch — near the full
  * alphabet with --isolation=none, near zero under every
- * mitigation. The spy sweep runs LAST: each sweep reopens
+ * mitigation. The spy study runs LAST: each study reopens
  * --results fresh (the store convention since fig_tm), so the
  * file a user plots holds the spy records — the ones carrying
  * leakBitsPerEpoch/probeAccuracy.
@@ -43,24 +43,39 @@ using namespace scmp;
 struct CostReport
 {
     std::string workload;
-    std::vector<IsolationPoint> points;
+    std::vector<DesignPoint> points;
     Cycle baseline = 0;
 };
+
+/** The point's security-domain count; 0 for the open cache. */
+int
+domainsOf(const DesignPoint &p)
+{
+    const SecParams &sec = p.config.scc.sec;
+    return sec.mode == IsolationMode::None ? 0 : sec.domains;
+}
+
+/** The table cell for the point's domain count. */
+std::string
+domainsCell(const DesignPoint &p)
+{
+    int domains = domainsOf(p);
+    return domains ? Table::cell((std::uint64_t)domains) : "-";
+}
 
 void
 writeJson(const std::string &path, const char *scale,
           const std::vector<CostReport> &costs,
-          const std::vector<IsolationPoint> &channel)
+          const std::vector<DesignPoint> &channel)
 {
     std::FILE *file = std::fopen(path.c_str(), "w");
     fatal_if(!file, "cannot write ", path);
     auto put = [file](const char *fmt, auto... args) {
         std::fprintf(file, fmt, args...);
     };
-    auto head = [&put](const IsolationPoint &p) {
+    auto head = [&put](const DesignPoint &p) {
         put("    {\"isolation\": \"%s\", \"domains\": %d",
-            isolationModeName(p.mode),
-            p.mode == IsolationMode::None ? 0 : p.domains);
+            isolationModeName(p.config.scc.sec.mode), domainsOf(p));
     };
 
     put("{\n  \"bench\": \"fig_sec\",\n");
@@ -68,7 +83,7 @@ writeJson(const std::string &path, const char *scale,
 
     put("  \"channel\": [\n");
     for (std::size_t i = 0; i < channel.size(); ++i) {
-        const IsolationPoint &p = channel[i];
+        const DesignPoint &p = channel[i];
         head(p);
         put(", \"cycles\": %llu, \"probeAccuracy\": %.4f, "
             "\"chanceAccuracy\": %.4f, \"bitsPerEpoch\": %.4f}%s\n",
@@ -83,12 +98,12 @@ writeJson(const std::string &path, const char *scale,
     for (std::size_t c = 0; c < costs.size(); ++c) {
         const CostReport &cost = costs[c];
         for (std::size_t i = 0; i < cost.points.size(); ++i) {
-            const IsolationPoint &p = cost.points[i];
+            const DesignPoint &p = cost.points[i];
             put("    {\"workload\": \"%s\", ",
                 cost.workload.c_str());
             put("\"isolation\": \"%s\", \"domains\": %d",
-                isolationModeName(p.mode),
-                p.mode == IsolationMode::None ? 0 : p.domains);
+                isolationModeName(p.config.scc.sec.mode),
+                domainsOf(p));
             put(", \"cycles\": %llu, \"readMissRate\": %.4f, "
                 "\"slowdown\": %.4f}%s\n",
                 (unsigned long long)p.result.cycles,
@@ -149,6 +164,21 @@ main(int argc, char **argv)
         break;
     }
 
+    // Domains only exist when a mitigation does: the
+    // --isolation=none points share a key, so each study runs the
+    // open-cache baseline once.
+    std::vector<MachineConfig> configs;
+    for (IsolationMode mode : modes) {
+        for (int domains : domainCounts) {
+            MachineConfig config = base;
+            config.scc.sec.mode = mode;
+            config.scc.sec.domains = domains;
+            configs.push_back(config);
+        }
+    }
+    const std::vector<std::string> axes = {"isolation",
+                                           "isolationDomains"};
+
     // ----------------------------------------------------------
     // The price: SPLASH slowdown per mitigation.
     // ----------------------------------------------------------
@@ -166,28 +196,22 @@ main(int argc, char **argv)
     for (const Study &study : studies) {
         CostReport cost;
         cost.workload = study.name;
-        cost.points = DesignSpace::isolationSweep(
-            study.factory, base, modes, domainCounts,
-            options.sweep.verbose);
-        for (const IsolationPoint &p : cost.points) {
-            if (p.mode == IsolationMode::None)
-                cost.baseline = p.result.cycles;
-        }
-        fatal_if(cost.baseline == 0,
-                 "isolation none baseline missing from sweep");
+        cost.points =
+            DesignSpace::study(study.factory, configs, axes);
+        auto open = [](const MachineConfig &c) {
+            return c.scc.sec.mode == IsolationMode::None;
+        };
+        cost.baseline = bench::studyResult(cost.points, open).cycles;
 
         Table table(std::string("Isolation cost: ") + study.name +
                     " 4x4, 64KB 4-way SCC (slowdown vs the open "
                     "--isolation=none cache)");
         table.setHeader({"Isolation", "Domains", "Cycles",
                          "Read miss", "Slowdown"});
-        for (const IsolationPoint &p : cost.points) {
+        for (const DesignPoint &p : cost.points) {
             table.addRow(
-                {isolationModeName(p.mode),
-                 p.mode == IsolationMode::None
-                     ? "-"
-                     : Table::cell((std::uint64_t)p.domains),
-                 Table::cell(p.result.cycles),
+                {isolationModeName(p.config.scc.sec.mode),
+                 domainsCell(p), Table::cell(p.result.cycles),
                  Table::cell(p.result.readMissRate, 4),
                  Table::cell((double)p.result.cycles /
                                  (double)cost.baseline,
@@ -199,7 +223,7 @@ main(int argc, char **argv)
 
     // ----------------------------------------------------------
     // The channel: leakage per mitigation (see file comment for
-    // why this sweep runs last).
+    // why this study runs last).
     // ----------------------------------------------------------
     secwork::PrimeProbeParams spyParams =
         secwork::paramsFor(base, epochs, /*symbols=*/8);
@@ -207,21 +231,16 @@ main(int argc, char **argv)
         return std::make_unique<secwork::PrimeProbeWorkload>(
             spyParams);
     };
-    auto channel = DesignSpace::isolationSweep(
-        spyFactory, base, modes, domainCounts,
-        options.sweep.verbose);
+    auto channel = DesignSpace::study(spyFactory, configs, axes);
 
     Table table("Side channel: prime+probe 4x4, 64KB 4-way "
                 "SCC (8-symbol secret, differential probe "
                 "decoder)");
     table.setHeader({"Isolation", "Domains", "Cycles",
                      "Accuracy", "Chance", "Bits/epoch"});
-    for (const IsolationPoint &p : channel) {
+    for (const DesignPoint &p : channel) {
         table.addRow(
-            {isolationModeName(p.mode),
-             p.mode == IsolationMode::None
-                 ? "-"
-                 : Table::cell((std::uint64_t)p.domains),
+            {isolationModeName(p.config.scc.sec.mode), domainsCell(p),
              Table::cell(p.result.cycles),
              Table::cell(p.result.secProbeAccuracy, 3),
              Table::cell(p.result.secChanceAccuracy, 3),

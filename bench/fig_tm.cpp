@@ -4,7 +4,7 @@
  * on the shared-cache machine?
  *
  * Runs the STAMP-character workloads (src/workloads/tm) through
- * DesignSpace::tmSweep over {off, eager, lazy} × {atomic, split}
+ * DesignSpace::study over {off, eager, lazy} × {atomic, split}
  * × speculative set sizes. --tm=off executes the very same
  * transaction call sites as plain lock/unlock critical sections,
  * so its rows are the lock baseline the speedups are measured
@@ -84,19 +84,25 @@ main(int argc, char **argv)
          }},
     };
 
-    for (const Study &study : studies) {
-        auto points = DesignSpace::tmSweep(
-            study.factory, base, modes, topologies, setSizes,
-            options.sweep.verbose);
-
-        auto baselineAt = [&](NetTopology topology) -> Cycle {
-            for (const TmPoint &p : points) {
-                if (p.mode == TmMode::Off &&
-                    p.topology == topology)
-                    return p.result.cycles;
+    // Set size only exists when a conflict manager does: the
+    // --tm=off points of one fabric share a key, so the study runs
+    // each lock baseline once.
+    std::vector<MachineConfig> configs;
+    for (TmMode mode : modes) {
+        for (NetTopology topology : topologies) {
+            for (int entries : setSizes) {
+                MachineConfig config = base;
+                config.tm.mode = mode;
+                config.tm.setEntries = entries;
+                config.net.topology = topology;
+                configs.push_back(config);
             }
-            fatal("tm lock baseline missing from sweep");
-        };
+        }
+    }
+
+    for (const Study &study : studies) {
+        auto points = DesignSpace::study(study.factory, configs,
+                                         {"net", "tm", "tmEntries"});
 
         Table table(std::string("TM: ") + study.name +
                     " 4x4, 64KB SCC (speedup vs the --tm=off lock "
@@ -104,22 +110,28 @@ main(int argc, char **argv)
         table.setHeader({"Fabric", "Manager", "Set", "Cycles",
                          "Commits", "Abort rate", "Fallbacks",
                          "Speedup"});
-        for (const TmPoint &p : points) {
-            if (p.mode == TmMode::Off) {
-                table.addRow(
-                    {netTopologyName(p.topology), "lock", "-",
-                     Table::cell(p.result.cycles), "-", "-", "-",
-                     Table::cell(1.0, 3)});
+        for (const DesignPoint &p : points) {
+            const MachineConfig &c = p.config;
+            const char *fabric = netTopologyName(c.net.topology);
+            if (c.tm.mode == TmMode::Off) {
+                table.addRow({fabric, "lock", "-",
+                              Table::cell(p.result.cycles), "-", "-",
+                              "-", Table::cell(1.0, 3)});
                 continue;
             }
+            const RunResult &lock = bench::studyResult(
+                points, [&](const MachineConfig &other) {
+                    return other.tm.mode == TmMode::Off &&
+                           other.net.topology == c.net.topology;
+                });
             table.addRow(
-                {netTopologyName(p.topology), tmModeName(p.mode),
-                 Table::cell((std::uint64_t)p.setEntries),
+                {fabric, tmModeName(c.tm.mode),
+                 Table::cell((std::uint64_t)c.tm.setEntries),
                  Table::cell(p.result.cycles),
                  Table::cell(p.result.tmCommits),
                  Table::cell(p.result.tmAbortRate, 3),
                  Table::cell(p.result.tmFallbacks),
-                 Table::cell((double)baselineAt(p.topology) /
+                 Table::cell((double)lock.cycles /
                                  (double)p.result.cycles,
                              3)});
         }

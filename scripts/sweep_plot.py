@@ -3,24 +3,24 @@
 
 Every sweep that runs with --results leaves a JSON-lines store where
 each record is one design point (workload, scale, procs, sccBytes,
-optional clusters/net axes, and the RunResult payload). This script
-turns a store into line charts:
+the axis tags of the study that wrote it, and the RunResult
+payload). This script turns a store into line charts:
 
   * mem-scaling stores (records tagged with "mem"/"channels"/
-    "banks"/"memSched", as written by fig_mem_scaling or
-    DesignSpace::memScalingSweep): one curve per channels/scheduler
+    "banks"/"memSched", as written by fig_mem_scaling's
+    DesignSpace::study): one curve per channels/scheduler
     combination over the banks-per-channel axis.
   * net-scaling stores (records tagged with "clusters"/"net", as
-    written by fig_net_scaling or DesignSpace::netScalingSweep):
-    one curve per interconnect topology over the cluster axis.
+    written by fig_net_scaling's DesignSpace::study): one curve
+    per interconnect topology over the cluster axis.
   * tm stores (records tagged with "tm"/"tmEntries", as written by
-    fig_tm or DesignSpace::tmSweep): one curve per conflict
+    fig_tm's DesignSpace::study): one curve per conflict
     manager/fabric combination over the speculative-set-size axis
     — use --metric=tmAbortRate for the abort-rate figure. The
     --tm=off lock baselines carry no set size and are skipped.
   * isolation stores (records tagged with "isolation"/
-    "isolationDomains", as written by fig_sec or
-    DesignSpace::isolationSweep): one curve per mitigation over
+    "isolationDomains", as written by fig_sec's
+    DesignSpace::study): one curve per mitigation over
     the security-domain axis — use --metric=leakBitsPerEpoch (or
     probeAccuracy) for the leakage figure; records without a
     leakage sample (the SPLASH cost runs) are skipped for those

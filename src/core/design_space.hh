@@ -4,11 +4,13 @@
  *
  * Runs a workload across {processors per cluster} x {SCC size},
  * producing the grids behind the paper's Figures 2–4 and Tables
- * 3–4, plus normalization and speedup views over those grids.
+ * 3–4, plus normalization and speedup views over those grids; and
+ * runs the per-axis studies (interconnect, DRAM, consistency, TM,
+ * isolation) as plain lists of machine configurations.
  *
- * The sweep itself executes through the src/sweep/ subsystem (a
- * host-parallel executor with a persistent result store);
- * DesignSpace::sweep is declared here but defined in scmp_sweep,
+ * Both execute through the src/sweep/ subsystem (a host-parallel
+ * executor with a persistent result store); DesignSpace::sweep and
+ * DesignSpace::study are declared here but defined in scmp_sweep,
  * so targets that sweep must link that library.
  */
 
@@ -17,22 +19,27 @@
 
 #include <functional>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "core/parallel_run.hh"
-#include "sec/sec_params.hh"
 #include "sim/table.hh"
 
 namespace scmp
 {
 
-/** One evaluated configuration. */
+/**
+ * One evaluated configuration: its grid coordinates, its result,
+ * and the full machine it ran, so a study reads any axis value
+ * (topology, TM manager, DRAM geometry, ...) straight from config.
+ */
 struct DesignPoint
 {
     int cpusPerCluster = 0;
     std::uint64_t sccBytes = 0;
     RunResult result;
+    MachineConfig config;
 };
 
 /**
@@ -81,60 +88,6 @@ class DesignGrid
     std::unordered_map<std::uint64_t, std::size_t> _index;
 };
 
-/** One evaluated clusters × topology point (src/net study). */
-struct NetPoint
-{
-    int clusters = 0;
-    NetTopology topology = NetTopology::Atomic;
-    RunResult result;
-};
-
-/** One evaluated channels × banks × sched point (src/dram study). */
-struct MemPoint
-{
-    int channels = 0;
-    int banks = 0;
-    MemSched sched = MemSched::Fcfs;
-    RunResult result;
-};
-
-/**
- * One evaluated consistency × fabric × arbitration point
- * (src/mem/store_buffer study).
- */
-struct ConsistencyPoint
-{
-    ConsistencyModel model = ConsistencyModel::Sc;
-    NetTopology topology = NetTopology::Atomic;
-    NetArbitration arbitration = NetArbitration::RoundRobin;
-    RunResult result;
-};
-
-/**
- * One evaluated TM manager × fabric × set-size point (src/tm
- * study). Off points carry the lock baseline the speedup column
- * divides by.
- */
-struct TmPoint
-{
-    TmMode mode = TmMode::Off;
-    NetTopology topology = NetTopology::Atomic;
-    int setEntries = 0;
-    RunResult result;
-};
-
-/**
- * One evaluated isolation-mode × domain-count point (src/sec
- * study). None points carry the unmitigated baseline the slowdown
- * column divides by.
- */
-struct IsolationPoint
-{
-    IsolationMode mode = IsolationMode::None;
-    int domains = 0;
-    RunResult result;
-};
-
 /** Sweep driver and result views. */
 class DesignSpace
 {
@@ -169,88 +122,22 @@ class DesignSpace
           bool verbose = false);
 
     /**
-     * The interconnect scaling study: run the workload over
-     * {cluster count} × {net topology} at a fixed SCC geometry,
-     * through the same result-store/resume/obs plumbing as
-     * sweep(). Points are keyed like any other design point (the
-     * non-default NetParams enter the hash), and each stored
-     * record carries its "clusters"/"net" axes. Defined in
-     * scmp_sweep.
+     * Run one study: evaluate every configuration in @p configs
+     * cycle-accurately through the same executor, result store,
+     * resume and --jobs/--progress path as sweep(), honouring the
+     * process-wide sweep options. A configuration whose point key
+     * equals an earlier one's (an axis value that is inert for it,
+     * such as a TM set size under --tm=off) is evaluated once and
+     * not repeated in the result. Each stored record is tagged with
+     * the point's value on every axis named in @p axes (see
+     * sweep::axisTag()). Defined in scmp_sweep.
      *
-     * @param base Template config; numClusters and net.topology
-     *             are overridden per point.
+     * @return One point per distinct configuration, in order.
      */
-    static std::vector<NetPoint> netScalingSweep(
-        const WorkloadFactory &factory, MachineConfig base,
-        const std::vector<int> &clusterCounts,
-        const std::vector<NetTopology> &topologies,
-        bool verbose = false);
-
-    /**
-     * The memory scaling study: run the workload over {channels} ×
-     * {banks per channel} × {scheduler} with the banked DRAM
-     * backend, through the same result-store/resume/obs plumbing
-     * as sweep(). base.dram supplies the timing and row geometry;
-     * kind is forced to Banked per point and each stored record
-     * carries its "mem"/"channels"/"banks"/"memSched" axes.
-     * Defined in scmp_sweep.
-     */
-    static std::vector<MemPoint> memScalingSweep(
-        const WorkloadFactory &factory, MachineConfig base,
-        const std::vector<int> &channelCounts,
-        const std::vector<int> &bankCounts,
-        const std::vector<MemSched> &scheds,
-        bool verbose = false);
-
-    /**
-     * The consistency study: run the workload over {consistency
-     * model} × {net topology} × {arbitration discipline}, through
-     * the same result-store/resume/obs plumbing as sweep().
-     * Arbitration only matters on the split bus, so non-split
-     * topologies are evaluated once (with the first discipline)
-     * instead of duplicating identical points. Each stored record
-     * carries its "consistency"/"net" axes. Defined in scmp_sweep.
-     */
-    static std::vector<ConsistencyPoint> consistencySweep(
-        const WorkloadFactory &factory, MachineConfig base,
-        const std::vector<ConsistencyModel> &models,
-        const std::vector<NetTopology> &topologies,
-        const std::vector<NetArbitration> &arbitrations,
-        bool verbose = false);
-
-    /**
-     * The transactional-memory study: run the workload over {TM
-     * mode} × {net topology} × {read/write-set entries}, through
-     * the same result-store/resume/obs plumbing as sweep(). Set
-     * size only exists when a conflict manager does, so --tm=off
-     * baselines are evaluated once per topology (with the first
-     * set size) instead of duplicating identical points. Each
-     * stored record carries its "tm"/"tmEntries"/"net" axes.
-     * Defined in scmp_sweep.
-     */
-    static std::vector<TmPoint> tmSweep(
-        const WorkloadFactory &factory, MachineConfig base,
-        const std::vector<TmMode> &modes,
-        const std::vector<NetTopology> &topologies,
-        const std::vector<int> &setSizes,
-        bool verbose = false);
-
-    /**
-     * The cache-isolation study: run the workload over {isolation
-     * mode} × {domain count}, through the same result-store/resume
-     * /obs plumbing as sweep(). Domains only exist when a
-     * mitigation does, so --isolation=none baselines are evaluated
-     * once (with the first domain count) instead of duplicating
-     * identical points — and the none point's key is bit-identical
-     * to a pre-src/sec store's (the sec axis never enters the hash
-     * at its default). Each stored record carries its
-     * "isolation"/"isolationDomains" axes. Defined in scmp_sweep.
-     */
-    static std::vector<IsolationPoint> isolationSweep(
-        const WorkloadFactory &factory, MachineConfig base,
-        const std::vector<IsolationMode> &modes,
-        const std::vector<int> &domainCounts,
-        bool verbose = false);
+    static std::vector<DesignPoint>
+    study(const WorkloadFactory &factory,
+          const std::vector<MachineConfig> &configs,
+          const std::vector<std::string> &axes);
 
     /**
      * Figure 2/3/4 view: normalized execution time, one row per

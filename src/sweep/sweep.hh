@@ -3,13 +3,15 @@
  * Host-parallel, resumable design-space sweep execution.
  *
  * Every figure and table in the paper is a grid sweep over
- * {processors per cluster} x {SCC size}, and each grid point is a
- * fully self-contained simulation (fresh Machine, fresh workload,
- * fresh Arena, deterministic engine). The SweepExecutor exploits
- * that independence: a work-stealing pool of host threads runs
- * points concurrently, a ResultStore persists each completed point
- * keyed by its stable configuration hash, and a resumed sweep
- * skips every point the store already holds.
+ * {processors per cluster} x {SCC size}, and every per-axis study
+ * (fabric, DRAM, consistency, TM, isolation) is a list of machine
+ * configurations. Each point is a fully self-contained simulation
+ * (fresh Machine, fresh workload, fresh Arena, deterministic
+ * engine). The SweepExecutor exploits that independence: a
+ * work-stealing pool of host threads runs points concurrently, a
+ * ResultStore persists each completed point keyed by its stable
+ * configuration hash, and a resumed sweep skips every point the
+ * store already holds.
  *
  * Correctness bar: a sweep with --jobs=N produces bit-identical
  * RunResults to the serial sweep. Each point's inputs are functions
@@ -135,7 +137,11 @@ struct SweepRunStats
 void setDefaultSweepOptions(const SweepOptions &options);
 const SweepOptions &defaultSweepOptions();
 
-/** Work-stealing executor over one design-point grid. */
+/**
+ * Work-stealing executor over a set of design points: a grid
+ * (run) or a study's configuration list (runStudy), both through
+ * one store/resume/obs/progress path.
+ */
 class SweepExecutor
 {
   public:
@@ -152,10 +158,36 @@ class SweepExecutor
                    const std::vector<std::uint64_t> &sccSizes,
                    const std::vector<int> &clusterSizes);
 
+    /**
+     * Evaluate every configuration in @p configs cycle-accurately
+     * (whatever options().model says: the analytic screen models
+     * only the procs x SCC grid), tagging each stored record with
+     * its value on every axis in @p axes (tag names, see axisTag).
+     * See DesignSpace::study.
+     *
+     * @return One point per distinct point key, in order.
+     */
+    std::vector<DesignPoint>
+    runStudy(const DesignSpace::WorkloadFactory &factory,
+             const std::vector<MachineConfig> &configs,
+             const std::vector<std::string> &axes);
+
     const SweepRunStats &runStats() const { return _stats; }
     const SweepOptions &options() const { return _options; }
 
   private:
+    /**
+     * The shared core: dedupe @p configs by point key, screen them
+     * analytically when @p profileConfig (the profiling pass's
+     * machine) is given, serve stored points, and run the rest on
+     * the pool.
+     */
+    std::vector<DesignPoint>
+    execute(const DesignSpace::WorkloadFactory &factory,
+            const std::vector<MachineConfig> &configs,
+            const std::vector<const AxisTag *> &axes,
+            const MachineConfig *profileConfig);
+
     SweepOptions _options;
     SweepRunStats _stats;
 };

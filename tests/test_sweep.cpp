@@ -2,7 +2,8 @@
  * @file
  * Tests for the sweep subsystem: stable point keys, the JSON-lines
  * result store, resume semantics, parallel-vs-serial bit identity,
- * and the machine-readable statistics dump records attach.
+ * the machine-readable statistics dump records attach, and the
+ * study driver (key dedupe, axis tags, the resume identity rule).
  */
 
 #include <gtest/gtest.h>
@@ -117,7 +118,8 @@ class SeedProbe : public ParallelWorkload
 };
 
 void
-expectSameResults(const DesignGrid &a, const DesignGrid &b)
+expectSameResults(const std::vector<DesignPoint> &a,
+                  const std::vector<DesignPoint> &b)
 {
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
@@ -397,7 +399,7 @@ TEST(Sweep, ParallelIsBitIdenticalToSerial)
 
     ASSERT_EQ(serialGrid.size(),
               testSizes.size() * testProcs.size());
-    expectSameResults(serialGrid, parallelGrid);
+    expectSameResults(serialGrid.points(), parallelGrid.points());
     for (const auto &point : serialGrid)
         EXPECT_TRUE(point.result.verified);
 }
@@ -475,7 +477,7 @@ TEST(Sweep, ResumeRecomputesOnlyMissingPoints)
     sweep::SweepExecutor fresh(sweep::SweepOptions{});
     auto freshGrid = fresh.run(miniFactory(), MachineConfig{},
                                testSizes, testProcs);
-    expectSameResults(freshGrid, resumedGrid);
+    expectSameResults(freshGrid.points(), resumedGrid.points());
 
     // A second resume recomputes nothing: factory is called once
     // (for the workload name) and zero times for points.
@@ -492,7 +494,7 @@ TEST(Sweep, ResumeRecomputesOnlyMissingPoints)
     EXPECT_EQ(again.runStats().reused,
               testSizes.size() * testProcs.size());
     EXPECT_EQ(factoryCalls, 1);
-    expectSameResults(freshGrid, againGrid);
+    expectSameResults(freshGrid.points(), againGrid.points());
     std::remove(path.c_str());
 }
 
@@ -525,6 +527,339 @@ TEST(Sweep, AttachedStatsLandInTheStore)
         << error;
     // The machine's stats tree has the bus and per-cluster SCCs.
     EXPECT_NE(stats.find("bus"), nullptr);
+    std::remove(path.c_str());
+}
+
+/** A workload that only answers to a stored record's name. */
+class NameOnly : public ParallelWorkload
+{
+  public:
+    explicit NameOnly(std::string name) : _name(std::move(name)) {}
+
+    std::string name() const override { return _name; }
+
+    void
+    setup(Arena &, const Topology &) override
+    {
+        ADD_FAILURE() << "a stored point was recomputed";
+    }
+
+    void threadMain(ThreadCtx &, int, const Topology &) override {}
+
+  private:
+    std::string _name;
+};
+
+/** 2 clusters x 2 CPUs, 8 KB 4-way SCC (way partitioning divides). */
+MachineConfig
+studyBase()
+{
+    MachineConfig config;
+    config.numClusters = 2;
+    config.cpusPerCluster = 2;
+    config.scc.sizeBytes = 8 << 10;
+    config.scc.assoc = 4;
+    return config;
+}
+
+/** The 4P/64KB point every resume-identity test stores. */
+MachineConfig
+sharedPoint()
+{
+    MachineConfig config;
+    config.cpusPerCluster = 4;
+    config.scc.sizeBytes = 64 << 10;
+    return config;
+}
+
+std::vector<MachineConfig>
+netStudyConfigs()
+{
+    std::vector<MachineConfig> configs;
+    for (NetTopology topology : {NetTopology::Atomic,
+                                 NetTopology::Split,
+                                 NetTopology::Tree}) {
+        for (int clusters : {1, 2}) {
+            MachineConfig config = studyBase();
+            config.net.topology = topology;
+            config.numClusters = clusters;
+            configs.push_back(config);
+        }
+    }
+    return configs;
+}
+
+TEST(Study, InertAxisValuesRunOnce)
+{
+    // TM set size is inert under --tm=off: one lock point per fabric.
+    std::vector<MachineConfig> tm;
+    for (TmMode mode : {TmMode::Off, TmMode::Eager}) {
+        for (NetTopology topology :
+             {NetTopology::Atomic, NetTopology::Split}) {
+            for (int entries : {2, 64}) {
+                MachineConfig config = studyBase();
+                config.tm.mode = mode;
+                config.tm.setEntries = entries;
+                config.net.topology = topology;
+                tm.push_back(config);
+            }
+        }
+    }
+    sweep::SweepExecutor executor(sweep::SweepOptions{});
+    auto points = executor.runStudy(miniFactory(), tm,
+                                    {"net", "tm", "tmEntries"});
+    ASSERT_EQ(points.size(), 6u);
+    EXPECT_EQ(executor.runStats().computed, 6u);
+    // First seen wins, and order is kept.
+    EXPECT_EQ(points[0].config.tm.mode, TmMode::Off);
+    EXPECT_EQ(points[0].config.tm.setEntries, 2);
+    EXPECT_EQ(points[1].config.tm.mode, TmMode::Off);
+    EXPECT_EQ(points[1].config.net.topology, NetTopology::Split);
+    EXPECT_EQ(points[2].config.tm.mode, TmMode::Eager);
+    EXPECT_EQ(points[3].config.tm.setEntries, 64);
+
+    // Domains are inert under --isolation=none: one open cache.
+    std::vector<MachineConfig> isolation;
+    for (IsolationMode mode :
+         {IsolationMode::None, IsolationMode::WayPart}) {
+        for (int domains : {2, 4}) {
+            MachineConfig config = studyBase();
+            config.scc.sec.mode = mode;
+            config.scc.sec.domains = domains;
+            isolation.push_back(config);
+        }
+    }
+    points = executor.runStudy(miniFactory(), isolation,
+                               {"isolation", "isolationDomains"});
+    ASSERT_EQ(points.size(), 3u);
+    EXPECT_EQ(executor.runStats().computed, 3u);
+    EXPECT_EQ(points[0].config.scc.sec.mode, IsolationMode::None);
+    EXPECT_EQ(points[1].config.scc.sec.domains, 2);
+    EXPECT_EQ(points[2].config.scc.sec.domains, 4);
+
+    // Arbitration is inert on the atomic bus: one atomic point.
+    std::vector<MachineConfig> fabric;
+    for (NetTopology topology :
+         {NetTopology::Atomic, NetTopology::Split}) {
+        for (NetArbitration arbitration :
+             {NetArbitration::RoundRobin, NetArbitration::Priority}) {
+            MachineConfig config = studyBase();
+            config.net.topology = topology;
+            config.net.arbitration = arbitration;
+            fabric.push_back(config);
+        }
+    }
+    points = executor.runStudy(miniFactory(), fabric,
+                               {"net", "consistency"});
+    ASSERT_EQ(points.size(), 3u);
+    EXPECT_EQ(executor.runStats().computed, 3u);
+    EXPECT_EQ(points[0].config.net.topology, NetTopology::Atomic);
+    EXPECT_EQ(points[1].config.net.arbitration,
+              NetArbitration::RoundRobin);
+    EXPECT_EQ(points[2].config.net.arbitration,
+              NetArbitration::Priority);
+}
+
+TEST(Study, ParallelIsBitIdenticalToSerial)
+{
+    sweep::SweepExecutor serial(sweep::SweepOptions{});
+    auto serialPoints =
+        serial.runStudy(miniFactory(), netStudyConfigs(),
+                        {"clusters", "net"});
+
+    sweep::SweepOptions parallelOptions;
+    parallelOptions.jobs = 2;
+    sweep::SweepExecutor parallel(parallelOptions);
+    auto parallelPoints =
+        parallel.runStudy(miniFactory(), netStudyConfigs(),
+                          {"clusters", "net"});
+    EXPECT_EQ(parallel.runStats().jobs, 2);
+
+    ASSERT_EQ(serialPoints.size(), netStudyConfigs().size());
+    expectSameResults(serialPoints, parallelPoints);
+    for (std::size_t i = 0; i < serialPoints.size(); ++i) {
+        EXPECT_EQ(parallelPoints[i].config.net.topology,
+                  serialPoints[i].config.net.topology);
+        EXPECT_EQ(parallelPoints[i].config.numClusters,
+                  serialPoints[i].config.numClusters);
+        EXPECT_TRUE(serialPoints[i].result.verified);
+    }
+}
+
+TEST(Study, RecordsCarryTagsAndTheirJobCount)
+{
+    std::string path = tempPath("study_jobs.jsonl");
+    std::remove(path.c_str());
+    sweep::SweepOptions options;
+    options.jobs = 2;
+    options.resultsPath = path;
+    sweep::SweepExecutor executor(options);
+    executor.runStudy(miniFactory(), netStudyConfigs(),
+                      {"clusters", "net"});
+
+    sweep::ResultStore store;
+    store.open(path, true);
+    ASSERT_EQ(store.size(), netStudyConfigs().size());
+    for (const MachineConfig &config : netStudyConfigs()) {
+        const sweep::StoredPoint *stored =
+            store.find(sweep::pointKey(config, "mini", "default"));
+        ASSERT_NE(stored, nullptr);
+        EXPECT_EQ(stored->jobs, 2);
+        EXPECT_EQ(stored->tags.at("net"),
+                  netTopologyName(config.net.topology));
+        EXPECT_EQ(stored->tags.at("clusters"),
+                  std::to_string(config.numClusters));
+        EXPECT_TRUE(stored->describes(config, "mini"));
+    }
+    std::remove(path.c_str());
+}
+
+TEST(Study, ResumeServesGridRecords)
+{
+    // A grid record carries no axis tags, so it describes the same
+    // point reached through any study: the tm-off/atomic and
+    // sc/atomic points below share its key.
+    std::string path = tempPath("study_grid.jsonl");
+    std::remove(path.c_str());
+    sweep::SweepOptions options;
+    options.resultsPath = path;
+    sweep::SweepExecutor grid(options);
+    DesignGrid swept =
+        grid.run(miniFactory(), MachineConfig{}, {64 << 10}, {4});
+
+    options.resume = true;
+    sweep::SweepExecutor tm(options);
+    auto tmPoints = tm.runStudy(miniFactory(), {sharedPoint()},
+                                {"net", "tm", "tmEntries"});
+    EXPECT_EQ(tm.runStats().computed, 0u);
+    EXPECT_EQ(tm.runStats().reused, 1u);
+    expectSameResults(swept.points(), tmPoints);
+
+    sweep::SweepExecutor consistency(options);
+    auto scPoints = consistency.runStudy(
+        miniFactory(), {sharedPoint()}, {"net", "consistency"});
+    EXPECT_EQ(consistency.runStats().computed, 0u);
+    EXPECT_EQ(consistency.runStats().reused, 1u);
+    expectSameResults(swept.points(), scPoints);
+    std::remove(path.c_str());
+}
+
+TEST(StudyDeath, ContradictingTagIsFatal)
+{
+    // A record under the atomic point's key that says "split" is a
+    // key collision or a corrupt store, never a result to serve.
+    std::string path = tempPath("study_collision.jsonl");
+    MachineConfig point = sharedPoint();
+    sweep::StoredPoint record;
+    record.key = sweep::pointKey(point, "mini", "default");
+    record.workload = "mini";
+    record.scale = "default";
+    record.cpusPerCluster = point.cpusPerCluster;
+    record.sccBytes = point.scc.sizeBytes;
+    record.tags["net"] = "split";
+    {
+        sweep::ResultStore store;
+        store.open(path, false);
+        store.append(record);
+    }
+    sweep::SweepOptions options;
+    options.resultsPath = path;
+    options.resume = true;
+    EXPECT_EXIT(
+        {
+            sweep::SweepExecutor executor(options);
+            executor.runStudy(miniFactory(), {point},
+                              {"net", "tm", "tmEntries"});
+        },
+        ::testing::ExitedWithCode(1),
+        "key collision or corrupt store");
+    // The grid path applies the same identity rule.
+    EXPECT_EXIT(
+        {
+            sweep::SweepExecutor executor(options);
+            executor.run(miniFactory(), MachineConfig{}, {64 << 10},
+                         {4});
+        },
+        ::testing::ExitedWithCode(1),
+        "key collision or corrupt store");
+    std::remove(path.c_str());
+}
+
+// Three records fig_tm --quick wrote before the study driver
+// existed (tests/golden/studies/fig_tm.jsonl): no "jobs" field, and
+// the lock baseline without a "tmEntries" tag.
+const char *const parentTmRecords[] = {
+    R"({"v":1,"key":"29c7f6a352d1dcb7","workload":"tmvacation-r64-c16-t128-q4","scale":"quick","procs":4,"scc":65536,"net":"atomic","tm":"off","wallMs":2.215522,"result":{"cycles":168431,"instructions":27138,"references":10754,"readMissRate":0.16259607173356105,"missRate":0.13619437721094768,"invalidations":1323,"busTransactions":2141,"busUtilization":0.019622278559172601,"verified":true}})",
+    R"({"v":1,"key":"d92c98c667ecf502","workload":"tmvacation-r64-c16-t128-q4","scale":"quick","procs":4,"scc":65536,"net":"atomic","tm":"eager","tmEntries":2,"wallMs":27.182715999999999,"result":{"cycles":258950,"instructions":38729,"references":22345,"readMissRate":0.18469945355191256,"missRate":0.16797205161435735,"invalidations":2831,"busTransactions":4492,"busUtilization":0.023518053678316279,"verified":true,"tmCommits":1345,"tmAborts":6125,"tmFallbacks":703,"tmAbortRate":0.81994645247657294}})",
+    R"({"v":1,"key":"73c66ee1c8df9df1","workload":"tmvacation-r64-c16-t128-q4","scale":"quick","procs":4,"scc":65536,"net":"split","tm":"lazy","tmEntries":64,"wallMs":3.7377359999999999,"result":{"cycles":16179,"instructions":23847,"references":7463,"readMissRate":0.1652490886998785,"missRate":0.14768562508483779,"invalidations":949,"busTransactions":1758,"busUtilization":0.10782495827925088,"verified":true,"tmCommits":2048,"tmAborts":241,"tmFallbacks":0,"tmAbortRate":0.1052861511577108}})",
+};
+
+TEST(Study, TagTableRewritesParentRecordsByteForByte)
+{
+    for (const char *line : parentTmRecords) {
+        sweep::StoredPoint point;
+        std::string error;
+        ASSERT_TRUE(
+            sweep::ResultStore::deserialize(line, point, &error))
+            << error;
+        EXPECT_EQ(sweep::ResultStore::serialize(point), line);
+    }
+}
+
+TEST(Study, ResumesFromParentFormatRecords)
+{
+    std::string path = tempPath("study_parent.jsonl");
+    {
+        std::ofstream out(path, std::ios::trunc);
+        for (const char *line : parentTmRecords)
+            out << line << "\n";
+    }
+    auto sizeOf = [&path] {
+        std::ifstream in(path, std::ios::ate | std::ios::binary);
+        return (std::streamoff)in.tellg();
+    };
+    const std::streamoff before = sizeOf();
+
+    // fig_tm's machine at the three stored points.
+    auto at = [](TmMode mode, NetTopology topology, int entries) {
+        MachineConfig config;
+        config.numClusters = 4;
+        config.cpusPerCluster = 4;
+        config.scc.sizeBytes = 64 << 10;
+        config.tm.mode = mode;
+        config.net.topology = topology;
+        config.tm.setEntries = entries;
+        return config;
+    };
+    std::vector<MachineConfig> configs = {
+        at(TmMode::Off, NetTopology::Atomic, 2),
+        at(TmMode::Eager, NetTopology::Atomic, 2),
+        at(TmMode::Lazy, NetTopology::Split, 64),
+    };
+
+    int factoryCalls = 0;
+    auto factory = [&factoryCalls]()
+        -> std::unique_ptr<ParallelWorkload> {
+        ++factoryCalls;
+        return std::make_unique<NameOnly>(
+            "tmvacation-r64-c16-t128-q4");
+    };
+    sweep::SweepOptions options;
+    options.resultsPath = path;
+    options.resume = true;
+    options.scale = "quick";
+    sweep::SweepExecutor executor(options);
+    auto points = executor.runStudy(factory, configs,
+                                    {"net", "tm", "tmEntries"});
+
+    EXPECT_EQ(executor.runStats().computed, 0u);
+    EXPECT_EQ(executor.runStats().reused, 3u);
+    EXPECT_EQ(factoryCalls, 1);  // the workload name only
+    EXPECT_EQ(sizeOf(), before);  // nothing appended
+    ASSERT_EQ(points.size(), 3u);
+    EXPECT_EQ(points[0].result.cycles, 168431u);
+    EXPECT_EQ(points[1].result.tmAborts, 6125u);
+    EXPECT_EQ(points[2].result.cycles, 16179u);
     std::remove(path.c_str());
 }
 
