@@ -4,7 +4,9 @@
  *
  * Runs every pinned design point in golden_common.hh and writes
  * one ResultStore JSON-lines file per workload into the output
- * directory (default tests/golden/ relative to the cwd). Run this
+ * directory (default tests/golden/ relative to the cwd), then runs
+ * every pinned profiling pass and writes its histograms as text
+ * under the directory's profiles/ subdirectory. Run this
  * ONLY when a change deliberately alters simulated behaviour, and
  * commit the regenerated fixtures with the change that explains
  * them:
@@ -13,6 +15,8 @@
  */
 
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <vector>
 
@@ -44,6 +48,19 @@ main(int argc, char **argv)
         std::printf("wrote %s (%zu points)\n",
                     goldenPath(dir, workload).c_str(),
                     points.size());
+    }
+
+    std::filesystem::create_directories(dir + "/profiles");
+    for (const ProfileSpec &spec : profileSpecs()) {
+        std::printf("profiling %s...\n", spec.name);
+        std::fflush(stdout);
+        std::string path = profilePath(dir, spec);
+        std::ofstream out(path);
+        fatal_if(!out, "cannot write ", path);
+        for (const std::string &line :
+             profileLines(runGoldenProfile(spec)))
+            out << line << "\n";
+        std::printf("wrote %s\n", path.c_str());
     }
     return 0;
 }
