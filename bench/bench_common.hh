@@ -16,7 +16,7 @@
  *                  cycle-accurately)
  *   --topk=K       hybrid frontier size (0 = auto, max(3, total/4))
  *   --profile-shift=S  SHARDS sampling shift for the profiling
- *                  pass (rate 1/2^S; 0 = exact)
+ *                  pass (rate 1/2^S, S in [0, 31]; 0 = exact)
  *   --profile-cap=N    stop recording profile histograms after N
  *                  references (0 = unbounded)
  *   --results=FILE persist each design point to a JSON-lines store
@@ -38,6 +38,7 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -142,11 +143,17 @@ parseBenchArgs(int argc, char **argv)
         jobsText == "auto" ? 0 : std::stoi(jobsText);
     options.sweep.model = sweep::parseSweepModel(
         options.config.getString("model", "cycle"));
-    options.sweep.topK = (int)options.config.getInt("topk", 0);
+    // Screen knobs are range-checked here, where the flag can still
+    // be named: a negative count would wrap to a huge unsigned one.
+    options.sweep.topK = (int)options.config.getIntIn(
+        "topk", 0, 0, std::numeric_limits<int>::max());
     options.sweep.profileSampleShift =
-        (std::uint32_t)options.config.getInt("profile-shift", 0);
+        (std::uint32_t)options.config.getIntIn("profile-shift", 0, 0,
+                                               31);
     options.sweep.profileMaxSamples =
-        (std::uint64_t)options.config.getInt("profile-cap", 0);
+        (std::uint64_t)options.config.getIntIn(
+            "profile-cap", 0, 0,
+            std::numeric_limits<std::int64_t>::max());
     options.sweep.resultsPath =
         options.config.getString("results", "");
     options.sweep.resume = options.config.getBool("resume", false);

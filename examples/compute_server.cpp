@@ -31,6 +31,7 @@
  */
 
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -88,7 +89,8 @@ main(int argc, char **argv)
     options.jobs = jobsText == "auto" ? 0 : std::stoi(jobsText);
     options.model = sweep::parseSweepModel(
         config.getString("model", "cycle"));
-    options.topK = (int)config.getInt("topk", 0);
+    options.topK = (int)config.getIntIn(
+        "topk", 0, 0, std::numeric_limits<int>::max());
     options.resultsPath = config.getString("results", "");
     options.resume = config.getBool("resume", false);
     options.verbose = config.getBool("progress", false);

@@ -62,6 +62,16 @@ Config::getInt(const std::string &key, std::int64_t def) const
     return v;
 }
 
+std::int64_t
+Config::getIntIn(const std::string &key, std::int64_t def,
+                 std::int64_t lo, std::int64_t hi) const
+{
+    std::int64_t v = getInt(key, def);
+    fatal_if(v < lo || v > hi, "--", key, " must be in [", lo, ", ",
+             hi, "] (got ", v, ")");
+    return v;
+}
+
 std::uint64_t
 Config::getSize(const std::string &key, std::uint64_t def) const
 {

@@ -42,6 +42,13 @@ class Config
                           const std::string &def = "") const;
     std::int64_t getInt(const std::string &key,
                         std::int64_t def = 0) const;
+    /**
+     * getInt() for a flag whose legal values are [@p lo, @p hi]; a
+     * value outside is a fatal user error naming the flag (--key)
+     * and the range.
+     */
+    std::int64_t getIntIn(const std::string &key, std::int64_t def,
+                          std::int64_t lo, std::int64_t hi) const;
     std::uint64_t getSize(const std::string &key,
                           std::uint64_t def = 0) const;
     double getDouble(const std::string &key, double def = 0.0) const;
