@@ -1,8 +1,9 @@
 /**
  * @file
- * Tests for the flat open-addressing MSHR table, including a
- * randomized cross-check against std::unordered_map and directed
- * probes of the backward-shift deletion.
+ * Tests for the flat open-addressing MSHR table (LineMap<Cycle>),
+ * including a randomized cross-check against std::unordered_map and
+ * directed probes of the backward-shift deletion, plus forEach over
+ * a record-valued LineMap.
  */
 
 #include <gtest/gtest.h>
@@ -69,6 +70,33 @@ TEST(MshrTable, ClearEmptiesTable)
     EXPECT_TRUE(table.empty());
     for (Addr a = 1; a <= 20; ++a)
         EXPECT_EQ(table.find(a * 0x40), nullptr);
+}
+
+TEST(LineMap, ForEachVisitsEveryEntryOnceAndCanMutate)
+{
+    // The reuse profiler renumbers its stack slots through forEach
+    // with a record value type; every live entry must be visited
+    // exactly once, after growths and an erase, and edits must stick.
+    struct Record
+    {
+        std::uint32_t slot = 0;
+        std::int16_t tag = -1;
+    };
+    LineMap<Record> table(4);
+    for (Addr a = 1; a <= 100; ++a)
+        table.set(a * 0x40, Record{(std::uint32_t)a, 0});
+    table.erase(50 * 0x40);
+    std::vector<int> visits(101, 0);
+    table.forEach([&visits](Addr key, Record &record) {
+        ++visits[key / 0x40];
+        record.slot *= 2;
+    });
+    for (Addr a = 1; a <= 100; ++a) {
+        EXPECT_EQ(visits[a], a == 50 ? 0 : 1) << a;
+        if (a != 50) {
+            EXPECT_EQ(table.find(a * 0x40)->slot, 2 * a);
+        }
+    }
 }
 
 TEST(MshrTable, EraseFromProbeChainKeepsFollowersReachable)
