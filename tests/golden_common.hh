@@ -11,6 +11,12 @@
  * re-capturing the fixtures (scripts: build/tests/golden_capture
  * tests/golden).
  *
+ * Besides the SPLASH codes, two points pin engine paths no SPLASH
+ * run reaches: a round-robin multiprogrammed SPEC point whose short
+ * quantum blocks, wakes and rebinds processes many times, and an
+ * open-loop compute-server point with i-fetch on, whose threads
+ * idle until their next arrival.
+ *
  * Fixture format: the sweep ResultStore's JSON-lines records, one
  * file per workload under tests/golden/, so the fixtures can be
  * inspected (and diffed in review) with the same tooling as sweep
@@ -32,11 +38,13 @@
 
 #include "core/parallel_run.hh"
 #include "model/profile_run.hh"
+#include "multiprog/scheduler.hh"
 #include "sweep/point_key.hh"
 #include "sweep/result_store.hh"
 #include "workloads/splash/barnes.hh"
 #include "workloads/splash/cholesky.hh"
 #include "workloads/splash/mp3d.hh"
+#include "workloads/server/server.hh"
 
 namespace scmp::golden
 {
@@ -63,6 +71,8 @@ goldenSpecs()
         {"mp3d", 4, 128ull << 10},
         {"cholesky", 2, 32ull << 10},
         {"cholesky", 4, 128ull << 10},
+        {"multiprog", 3, 32ull << 10},
+        {"server", 2, 32ull << 10},
     };
 }
 
@@ -72,6 +82,8 @@ goldenMachine(const GoldenSpec &spec)
     MachineConfig config;
     config.cpusPerCluster = spec.cpusPerCluster;
     config.scc.sizeBytes = spec.sccBytes;
+    std::string workload = spec.workload;
+    config.icache.enabled = workload == "multiprog" || workload == "server";
     return config;
 }
 
@@ -97,7 +109,36 @@ makeGoldenWorkload(const std::string &name)
         params.gridCols = 20;
         return std::make_unique<splash::Cholesky>(params);
     }
+    if (name == "server") {
+        server::ServerParams params;
+        params.requests = 3000;
+        return std::make_unique<server::ServerWorkload>(params);
+    }
     fatal("unknown golden workload '", name, "'");
+}
+
+/**
+ * The multiprogrammed point: eight SPEC processes round robin on
+ * three processors, with a quantum of 20 K cycles, so a few hundred
+ * context switches. Its metrics go into the RunResult fields they
+ * share with a parallel run.
+ */
+inline RunResult
+runGoldenMultiprog(const MachineConfig &config)
+{
+    MultiprogParams params;
+    params.quantum = 20'000;
+    params.totalRefs = 300'000;
+    MultiprogResult run =
+        runMultiprog(config, spec::makeSpecWorkload(), params);
+    RunResult result;
+    result.cycles = run.cycles;
+    result.references = run.references;
+    result.readMissRate = run.readMissRate;
+    result.missRate = run.missRate;
+    result.invalidations = run.invalidations;
+    result.verified = run.verified;
+    return result;
 }
 
 /** Run one pinned point and package it as a store record. */
@@ -105,7 +146,6 @@ inline sweep::StoredPoint
 runGoldenPoint(const GoldenSpec &spec)
 {
     MachineConfig config = goldenMachine(spec);
-    auto workload = makeGoldenWorkload(spec.workload);
 
     sweep::StoredPoint point;
     point.key = sweep::pointKey(config, spec.workload, goldenScale);
@@ -113,7 +153,11 @@ runGoldenPoint(const GoldenSpec &spec)
     point.scale = goldenScale;
     point.cpusPerCluster = spec.cpusPerCluster;
     point.sccBytes = spec.sccBytes;
-    point.result = runParallel(config, *workload);
+    if (point.workload == "multiprog")
+        point.result = runGoldenMultiprog(config);
+    else
+        point.result =
+            runParallel(config, *makeGoldenWorkload(spec.workload));
     return point;
 }
 

@@ -77,6 +77,12 @@ TEST_P(GoldenTest, MatchesCommittedFixtureExactly)
     EXPECT_EQ(got.readMissRate, want.readMissRate);
     EXPECT_EQ(got.missRate, want.missRate);
     EXPECT_EQ(got.busUtilization, want.busUtilization);
+    // Zero except on the server point.
+    EXPECT_EQ(got.requests, want.requests);
+    EXPECT_EQ(got.latencyP50, want.latencyP50);
+    EXPECT_EQ(got.latencyP95, want.latencyP95);
+    EXPECT_EQ(got.latencyP99, want.latencyP99);
+    EXPECT_EQ(got.throughput, want.throughput);
 }
 
 std::string
