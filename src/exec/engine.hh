@@ -19,7 +19,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "exec/arena.hh"
@@ -229,7 +228,12 @@ struct EngineOptions
      */
     CycleDelta slackWindow = 0;
 
-    /** Stall beyond this many cycles always forces a yield. */
+    /**
+     * A stall longer than this many cycles hands the processor
+     * over whenever another thread has become the dispatch minimum;
+     * a shorter one only when a runnable thread has fallen behind
+     * the slack window.
+     */
     CycleDelta yieldLatency = 4;
 
     /** Fiber stack size (deep octree recursion needs room). */
@@ -373,44 +377,27 @@ class Engine
     /** Yield if another runnable thread is too far behind. */
     void maybeYield(Thread &t);
 
-    /** Smallest clock among Ready threads other than @p self. */
-    bool minOtherReadyTime(const Thread &self, Cycle &minTime) const;
+    /** Leaf value of a thread that is not waiting to run. */
+    static constexpr std::uint64_t noKey = ~0ull;
 
-    /** Drop the cached min-other-ready result (state changed). */
-    void
-    invalidateMinOtherCache()
-    {
-        _minOtherValid = false;
-    }
+    /** @p t's dispatch key; panics if its clock does not fit. */
+    std::uint64_t keyOf(const Thread &t) const;
+
+    /** The thread a dispatch key names. */
+    Thread &threadOf(std::uint64_t key);
+
+    /** Set @p tid's leaf and replay its path to the root. */
+    void setLeaf(ThreadId tid, std::uint64_t key);
 
     /**
-     * One ready-heap element. Entries are lazily deleted: a thread
-     * whose clock or state changed leaves its old entry behind, and
-     * the dispatcher discards any popped entry that no longer
-     * matches the thread's live (state, time).
+     * Re-key a thread a policy hook or a peer changed. The running
+     * thread enters the tree when it hands over; before run() the
+     * tree does not exist yet.
      */
-    struct ReadyEntry
-    {
-        Cycle time;
-        ThreadId tid;
-    };
+    void requeue(const Thread &t);
 
-    /** Min-heap order on (time, tid) — the dispatch tie-break. */
-    struct ReadyLater
-    {
-        bool
-        operator()(const ReadyEntry &a, const ReadyEntry &b) const
-        {
-            return a.time != b.time ? a.time > b.time
-                                    : a.tid > b.tid;
-        }
-    };
-
-    /** Enter @p t into the ready heap at its current clock. */
-    void pushReady(const Thread &t);
-
-    /** Seed the min-other cache from the heap top at dispatch. */
-    void seedMinOther();
+    /** Make @p t the running thread and open its obs slice. */
+    void dispatch(Thread &t);
 
     Thread &threadRef(ThreadId tid);
     const Thread &threadRef(ThreadId tid) const;
@@ -425,33 +412,25 @@ class Engine
     Cycle _finishTime = 0;
     std::uint64_t _totalRefs = 0;
     bool _running = false;
+    /** The running thread's clock when it was dispatched. */
+    Cycle _sliceStart = 0;
 
     /**
-     * Memoized minOtherReadyTime for the current slice. While one
-     * thread runs, every other thread's clock and state are frozen
-     * unless this engine mutates them (wake/block/setTime) — so the
-     * O(threads) scan that used to run on EVERY reference collapses
-     * to one compare. Invalidated at each dispatch and by every
-     * cross-thread mutation; purely a cache, so scheduling decisions
-     * (and therefore timing) are bit-identical.
+     * The dispatch tournament tree, sized by run(): one leaf per
+     * thread at _tree[_leaves + tid], and every inner node the min
+     * of its two children, so _tree[1] is the minimum. A Ready
+     * thread that is not running has the leaf
+     * `time << _tidBits | tid`, so comparing keys compares
+     * (time, tid), the dispatch tie-break; every other leaf is
+     * noKey. The root is therefore both the thread to dispatch next
+     * and, while a thread runs, the smallest other Ready clock its
+     * per-reference yield test needs.
      */
-    mutable Cycle _minOtherTime = 0;
-    mutable ThreadId _minOtherTid = -1;
-    mutable bool _minOtherFound = false;
-    mutable bool _minOtherValid = false;
-
-    /**
-     * Lazy-deletion dispatch heap. Invariant: every Ready thread
-     * that is not currently running has an entry carrying its exact
-     * current (time, tid); stale entries (clock moved, thread
-     * blocked or finished) are discarded when popped. Selection is
-     * therefore identical to the original linear scan — the valid
-     * minimum of (time, tid) over Ready threads — at O(log n) per
-     * dispatch instead of O(n).
-     */
-    std::priority_queue<ReadyEntry, std::vector<ReadyEntry>,
-                        ReadyLater>
-        _ready;
+    std::vector<std::uint64_t> _tree;
+    std::size_t _leaves = 0;
+    int _tidBits = 0;
+    /** Largest clock a key holds at this thread count. */
+    Cycle _keyClockLimit = 0;
     /** Threads not yet Done (for the deadlock diagnostic). */
     int _live = 0;
 };

@@ -42,6 +42,15 @@ namespace scmp
 namespace
 {
 thread_local Fiber *currentFiber = nullptr;
+
+#ifdef SCMP_FIBER_UCONTEXT
+void
+ucontextTrampoline(unsigned hi, unsigned lo)
+{
+    auto ptr = ((std::uintptr_t)hi << 32) | (std::uintptr_t)lo;
+    Fiber::trampolineEntry((Fiber *)ptr);
+}
+#endif
 } // namespace
 
 Fiber *
@@ -57,7 +66,15 @@ Fiber::Fiber(std::function<void()> fn, std::size_t stackBytes)
 {
     panic_if(stackBytes < 16 * 1024, "fiber stack too small");
 #ifdef SCMP_FIBER_UCONTEXT
-    // Deferred to first resume(); nothing to do here.
+    // No uc_link: the body never returns, trampolineEntry yields
+    // to its caller forever once the fiber's function is done.
+    getcontext(&_context);
+    _context.uc_stack.ss_sp = _stack.get();
+    _context.uc_stack.ss_size = _stackBytes;
+    _context.uc_link = nullptr;
+    auto ptr = (std::uintptr_t)this;
+    makecontext(&_context, (void (*)())ucontextTrampoline, 2,
+                (unsigned)(ptr >> 32), (unsigned)ptr);
 #else
     // Carve the initial switch frame at the top of the stack:
     //   [r15 r14 r13 r12 rbx rbp] [thunk return address]
@@ -91,8 +108,7 @@ Fiber::~Fiber()
 void
 Fiber::trampolineEntry(Fiber *self)
 {
-    SCMP_FINISH_SWITCH(nullptr, &self->_callerStack,
-                       &self->_callerStackBytes);
+    self->landed(nullptr);
     self->_fn();
     self->_finished = true;
     // Return control to the caller forever; resuming again panics
@@ -101,17 +117,17 @@ Fiber::trampolineEntry(Fiber *self)
         yieldToCaller();
 }
 
-#ifdef SCMP_FIBER_UCONTEXT
-
-namespace
-{
 void
-ucontextTrampoline(unsigned hi, unsigned lo)
+Fiber::landed(void *fakeStack)
 {
-    auto ptr = ((std::uintptr_t)hi << 32) | (std::uintptr_t)lo;
-    Fiber::trampolineEntry((Fiber *)ptr);
+    // Entered from resume(), the stack switched from is the
+    // caller's. Entered from switchTo(), it is the previous fiber's,
+    // and the caller's stack came with the handoff.
+    if (_callerStack)
+        SCMP_FINISH_SWITCH(fakeStack, nullptr, nullptr);
+    else
+        SCMP_FINISH_SWITCH(fakeStack, &_callerStack, &_callerStackBytes);
 }
-} // namespace
 
 void
 Fiber::resume()
@@ -120,21 +136,28 @@ Fiber::resume()
     panic_if(currentFiber == this, "fiber resuming itself");
     Fiber *previous = currentFiber;
     currentFiber = this;
-    if (!_started) {
-        _started = true;
-        getcontext(&_context);
-        _context.uc_stack.ss_sp = _stack.get();
-        _context.uc_stack.ss_size = _stackBytes;
-        _context.uc_link = &_callerContext;
-        auto ptr = (std::uintptr_t)this;
-        makecontext(&_context, (void (*)())ucontextTrampoline, 2,
-                    (unsigned)(ptr >> 32), (unsigned)ptr);
-    }
+    _callerStack = nullptr;
     void *fakeStack = nullptr;
     SCMP_START_SWITCH(&fakeStack, _stack.get(), _stackBytes);
-    swapcontext(&_callerContext, &_context);
+    enter();
     SCMP_FINISH_SWITCH(fakeStack, nullptr, nullptr);
     currentFiber = previous;
+}
+
+void
+Fiber::switchTo(Fiber &next)
+{
+    Fiber *self = currentFiber;
+    panic_if(!self, "switchTo outside any fiber");
+    panic_if(&next == self, "fiber switching to itself");
+    panic_if(next._finished, "switching into a finished fiber");
+    next._callerStack = self->_callerStack;
+    next._callerStackBytes = self->_callerStackBytes;
+    currentFiber = &next;
+    void *fakeStack = nullptr;
+    SCMP_START_SWITCH(&fakeStack, next._stack.get(), next._stackBytes);
+    self->handOff(next);
+    self->landed(fakeStack);
 }
 
 void
@@ -145,39 +168,52 @@ Fiber::yieldToCaller()
     void *fakeStack = nullptr;
     SCMP_START_SWITCH(&fakeStack, self->_callerStack,
                       self->_callerStackBytes);
-    swapcontext(&self->_context, &self->_callerContext);
-    SCMP_FINISH_SWITCH(fakeStack, &self->_callerStack,
-                       &self->_callerStackBytes);
+    self->leave();
+    self->landed(fakeStack);
+}
+
+#ifdef SCMP_FIBER_UCONTEXT
+
+void
+Fiber::enter()
+{
+    ucontext_t caller;
+    _caller = &caller;
+    swapcontext(&caller, &_context);
+}
+
+void
+Fiber::leave()
+{
+    swapcontext(&_context, _caller);
+}
+
+void
+Fiber::handOff(Fiber &next)
+{
+    next._caller = _caller;
+    swapcontext(&_context, &next._context);
 }
 
 #else // x86-64 fast path
 
 void
-Fiber::resume()
+Fiber::enter()
 {
-    panic_if(_finished, "resuming a finished fiber");
-    panic_if(currentFiber == this, "fiber resuming itself");
-    Fiber *previous = currentFiber;
-    currentFiber = this;
-    _started = true;
-    void *fakeStack = nullptr;
-    SCMP_START_SWITCH(&fakeStack, _stack.get(), _stackBytes);
     scmpFiberSwitch(&_callerSp, _sp);
-    SCMP_FINISH_SWITCH(fakeStack, nullptr, nullptr);
-    currentFiber = previous;
 }
 
 void
-Fiber::yieldToCaller()
+Fiber::leave()
 {
-    Fiber *self = currentFiber;
-    panic_if(!self, "yieldToCaller outside any fiber");
-    void *fakeStack = nullptr;
-    SCMP_START_SWITCH(&fakeStack, self->_callerStack,
-                      self->_callerStackBytes);
-    scmpFiberSwitch(&self->_sp, self->_callerSp);
-    SCMP_FINISH_SWITCH(fakeStack, &self->_callerStack,
-                       &self->_callerStackBytes);
+    scmpFiberSwitch(&_sp, _callerSp);
+}
+
+void
+Fiber::handOff(Fiber &next)
+{
+    next._callerSp = _callerSp;
+    scmpFiberSwitch(&_sp, next._sp);
 }
 
 #endif
