@@ -1,12 +1,15 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the simulator primitives:
- * fiber context switches, arena allocation, tag-array lookups,
- * SCC hit/miss paths, bus transactions, the RNG and the pipeline
- * model. These bound the simulator's refs/second throughput.
+ * fiber context switches, engine dispatch, arena allocation,
+ * tag-array lookups, SCC hit/miss paths, bus transactions, the RNG
+ * and the pipeline model. These bound the simulator's refs/second
+ * throughput.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <chrono>
 
 #include "cpu/pipeline.hh"
 #include "exec/arena.hh"
@@ -115,21 +118,20 @@ BM_BusTransaction(benchmark::State &state)
 }
 BENCHMARK(BM_BusTransaction);
 
+/** Null memory: every access completes instantly. */
+class NullMemory : public MemorySystem
+{
+  public:
+    Cycle
+    access(CpuId, RefType, Addr, Cycle now, std::uint32_t) override
+    {
+        return now;
+    }
+};
+
 void
 BM_EngineRefStream(benchmark::State &state)
 {
-    /** Null memory: every access completes instantly. */
-    class NullMemory : public MemorySystem
-    {
-      public:
-        Cycle
-        access(CpuId, RefType, Addr, Cycle now,
-               std::uint32_t) override
-        {
-            return now;
-        }
-    };
-
     for (auto _ : state) {
         NullMemory memory;
         Arena arena(1 << 16);
@@ -148,6 +150,40 @@ BM_EngineRefStream(benchmark::State &state)
                             4 * 4096);
 }
 BENCHMARK(BM_EngineRefStream);
+
+void
+BM_EngineDispatch(benchmark::State &state)
+{
+    // Equal-speed threads over a null memory: each reference puts
+    // its thread a cycle ahead of the others, so every reference
+    // dispatches another thread. Only Engine::run() is timed.
+    const int threads = (int)state.range(0);
+    const int refsPerThread = (1 << 17) / threads;
+    double seconds = 0;
+    for (auto _ : state) {
+        NullMemory memory;
+        Arena arena(1 << 16);
+        Engine engine(&memory, &arena, EngineOptions{});
+        auto *data = arena.alloc<Shared<std::uint64_t>>(64);
+        for (CpuId cpu = 0; cpu < threads; ++cpu) {
+            engine.spawn(cpu, [data, refsPerThread](ThreadCtx &ctx) {
+                for (int i = 0; i < refsPerThread; ++i)
+                    data[i % 64].ld(ctx);
+            });
+        }
+        auto start = std::chrono::steady_clock::now();
+        engine.run();
+        std::chrono::duration<double> elapsed =
+            std::chrono::steady_clock::now() - start;
+        state.SetIterationTime(elapsed.count());
+        seconds += elapsed.count();
+        benchmark::DoNotOptimize(engine.totalRefs());
+    }
+    double refs = (double)state.iterations() * threads * refsPerThread;
+    state.SetItemsProcessed((std::int64_t)refs);
+    state.counters["ns_per_ref"] = seconds * 1e9 / refs;
+}
+BENCHMARK(BM_EngineDispatch)->Arg(4)->Arg(32)->UseManualTime();
 
 void
 BM_Rng(benchmark::State &state)
