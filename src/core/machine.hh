@@ -21,6 +21,7 @@
 #include "mem/scc.hh"
 #include "mem/store_buffer.hh"
 #include "obs/recorder.hh"
+#include "sim/names.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 #include "tm/tm_manager.hh"
@@ -48,6 +49,18 @@ enum class ClusterOrganization
     SharedCache,
     PrivateCaches,
 };
+
+inline std::span<const NameRow<ClusterOrganization>>
+nameTable(ClusterOrganization)
+{
+    static constexpr NameRow<ClusterOrganization> names[] = {
+        {"shared", ClusterOrganization::SharedCache,
+         "one SCC per cluster (the paper's proposal, default)"},
+        {"private", ClusterOrganization::PrivateCaches,
+         "one cache per processor, all snooping the bus"},
+    };
+    return names;
+}
 
 /** Full machine configuration — one design-space point. */
 struct MachineConfig

@@ -15,8 +15,8 @@
 #define SCMP_DRAM_DRAM_PARAMS_HH
 
 #include <cstdint>
-#include <string>
 
+#include "sim/names.hh"
 #include "sim/types.hh"
 
 namespace scmp
@@ -31,6 +31,20 @@ enum class MemBackendKind : std::uint8_t
     Banked,
 };
 
+inline std::span<const NameRow<MemBackendKind>>
+nameTable(MemBackendKind)
+{
+    static constexpr NameRow<MemBackendKind> names[] = {
+        {"flat", MemBackendKind::Flat,
+         "fixed-latency memory (the paper's, default)"},
+        {"banked", MemBackendKind::Banked,
+         "channels x banks open-row DRAM (--channels=N "
+         "--mem-banks=N\n--mem-sched=fcfs|frfcfs; NUMA segments "
+         "under --net=tree)"},
+    };
+    return names;
+}
+
 /** Command scheduling discipline at each DRAM channel. */
 enum class MemSched : std::uint8_t
 {
@@ -44,6 +58,17 @@ enum class MemSched : std::uint8_t
      */
     FrFcfs,
 };
+
+inline std::span<const NameRow<MemSched>>
+nameTable(MemSched)
+{
+    static constexpr NameRow<MemSched> names[] = {
+        {"fcfs", MemSched::Fcfs},
+        {"frfcfs", MemSched::FrFcfs},
+        {"fr-fcfs", MemSched::FrFcfs},
+    };
+    return names;
+}
 
 /**
  * Banked DRAM timing, DRAMSim2-style open-row semantics: a bank
@@ -86,16 +111,6 @@ struct DramParams
 
     DramTiming timing;
 };
-
-/// @name Names and parsers for the CLI/design-space axes.
-/// @{
-const char *memBackendName(MemBackendKind kind);
-const char *memSchedName(MemSched sched);
-/** Parse "flat" / "banked"; false on unknown names. */
-bool parseMemBackend(const std::string &text, MemBackendKind *out);
-/** Parse "fcfs" / "frfcfs"; false on unknown names. */
-bool parseMemSched(const std::string &text, MemSched *out);
-/// @}
 
 } // namespace scmp
 

@@ -7,50 +7,6 @@
 namespace scmp
 {
 
-const char *
-memBackendName(MemBackendKind kind)
-{
-    switch (kind) {
-      case MemBackendKind::Flat: return "flat";
-      case MemBackendKind::Banked: return "banked";
-    }
-    return "?";
-}
-
-const char *
-memSchedName(MemSched sched)
-{
-    switch (sched) {
-      case MemSched::Fcfs: return "fcfs";
-      case MemSched::FrFcfs: return "frfcfs";
-    }
-    return "?";
-}
-
-bool
-parseMemBackend(const std::string &text, MemBackendKind *out)
-{
-    if (text == "flat")
-        *out = MemBackendKind::Flat;
-    else if (text == "banked")
-        *out = MemBackendKind::Banked;
-    else
-        return false;
-    return true;
-}
-
-bool
-parseMemSched(const std::string &text, MemSched *out)
-{
-    if (text == "fcfs")
-        *out = MemSched::Fcfs;
-    else if (text == "frfcfs" || text == "fr-fcfs")
-        *out = MemSched::FrFcfs;
-    else
-        return false;
-    return true;
-}
-
 std::unique_ptr<MemoryBackend>
 makeMemoryBackend(stats::Group *parent, const std::string &name,
                   Cycle flatLatency, const DramParams &dram)

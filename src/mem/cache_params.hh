@@ -15,6 +15,7 @@
 
 #include "net/net_params.hh"
 #include "sec/sec_params.hh"
+#include "sim/names.hh"
 #include "sim/types.hh"
 
 namespace scmp
@@ -34,6 +35,18 @@ enum class CoherenceProtocol : std::uint8_t
     WriteInvalidate,
     WriteUpdate,
 };
+
+inline std::span<const NameRow<CoherenceProtocol>>
+nameTable(CoherenceProtocol)
+{
+    static constexpr NameRow<CoherenceProtocol> names[] = {
+        {"invalidate", CoherenceProtocol::WriteInvalidate,
+         "MSI write-invalidate (default)"},
+        {"update", CoherenceProtocol::WriteUpdate,
+         "Firefly-style write-update"},
+    };
+    return names;
+}
 
 /** Shared Cluster Cache geometry and timing. */
 struct SccParams

@@ -6,32 +6,6 @@
 namespace scmp
 {
 
-const char *
-consistencyName(ConsistencyModel model)
-{
-    switch (model) {
-      case ConsistencyModel::Sc:
-        return "sc";
-      case ConsistencyModel::Weak:
-        return "weak";
-    }
-    return "?";
-}
-
-bool
-parseConsistency(const std::string &text, ConsistencyModel *out)
-{
-    if (text == "sc") {
-        *out = ConsistencyModel::Sc;
-        return true;
-    }
-    if (text == "weak") {
-        *out = ConsistencyModel::Weak;
-        return true;
-    }
-    return false;
-}
-
 StoreBufferStats::StoreBufferStats(stats::Group *parent)
     : group(parent, "storebuf"),
       storesBuffered(&group, "storesBuffered",

@@ -48,6 +48,7 @@
 #include <string>
 
 #include "mem/coherence_observer.hh"
+#include "sim/names.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -65,6 +66,20 @@ enum class ConsistencyModel : std::uint8_t
     Weak,
 };
 
+inline std::span<const NameRow<ConsistencyModel>>
+nameTable(ConsistencyModel)
+{
+    static constexpr NameRow<ConsistencyModel> names[] = {
+        {"sc", ConsistencyModel::Sc,
+         "sequential consistency: every store stalls (the paper's, "
+         "default)"},
+        {"weak", ConsistencyModel::Weak,
+         "weak ordering: per-CPU store buffers (--sb-entries=N), "
+         "fences at\nthe ANL lock/unlock/barrier points"},
+    };
+    return names;
+}
+
 /** Consistency selection. Inert under Sc (the point key skips it). */
 struct ConsistencyParams
 {
@@ -73,14 +88,6 @@ struct ConsistencyParams
     /** Weak only: store-buffer entries per processor. */
     int storeBufferEntries = 8;
 };
-
-/// @name Names and parsers for the CLI/design-space axis.
-/// @{
-const char *consistencyName(ConsistencyModel model);
-/** Parse "sc" / "weak"; false on unknown names. */
-bool parseConsistency(const std::string &text,
-                      ConsistencyModel *out);
-/// @}
 
 /** Machine-wide store-buffer statistics (shared by all buffers). */
 struct StoreBufferStats

@@ -21,53 +21,6 @@ busOpName(BusOp op)
     return "?";
 }
 
-const char *
-netTopologyName(NetTopology topology)
-{
-    switch (topology) {
-      case NetTopology::Atomic: return "atomic";
-      case NetTopology::Split: return "split";
-      case NetTopology::Tree: return "tree";
-    }
-    return "?";
-}
-
-const char *
-netArbitrationName(NetArbitration arbitration)
-{
-    switch (arbitration) {
-      case NetArbitration::RoundRobin: return "rr";
-      case NetArbitration::Priority: return "priority";
-    }
-    return "?";
-}
-
-bool
-parseNetTopology(const std::string &text, NetTopology *out)
-{
-    if (text == "atomic")
-        *out = NetTopology::Atomic;
-    else if (text == "split")
-        *out = NetTopology::Split;
-    else if (text == "tree")
-        *out = NetTopology::Tree;
-    else
-        return false;
-    return true;
-}
-
-bool
-parseNetArbitration(const std::string &text, NetArbitration *out)
-{
-    if (text == "rr" || text == "round-robin")
-        *out = NetArbitration::RoundRobin;
-    else if (text == "priority")
-        *out = NetArbitration::Priority;
-    else
-        return false;
-    return true;
-}
-
 Interconnect::Interconnect(stats::Group *parent,
                            const BusParams &params,
                            const DramParams &dram)

@@ -11,8 +11,8 @@
 #define SCMP_NET_NET_PARAMS_HH
 
 #include <cstdint>
-#include <string>
 
+#include "sim/names.hh"
 #include "sim/types.hh"
 
 namespace scmp
@@ -64,6 +64,22 @@ enum class NetTopology : std::uint8_t
     Tree,
 };
 
+inline std::span<const NameRow<NetTopology>>
+nameTable(NetTopology)
+{
+    static constexpr NameRow<NetTopology> names[] = {
+        {"atomic", NetTopology::Atomic,
+         "single atomic snoopy bus (the paper's, default)"},
+        {"split", NetTopology::Split,
+         "split-transaction bus (--arbitration=rr|priority)"},
+        {"tree", NetTopology::Tree,
+         "leaf bus segments + root bus with snoop filter "
+         "(--segments=N,\nbound it with --sf-cap=N: LRU eviction + "
+         "back-invalidation)"},
+    };
+    return names;
+}
+
 /** Arbitration discipline for contended grants (SplitBus). */
 enum class NetArbitration : std::uint8_t
 {
@@ -72,6 +88,17 @@ enum class NetArbitration : std::uint8_t
     /** Daisy chain: cluster 0 wins free; loser c pays c slots. */
     Priority,
 };
+
+inline std::span<const NameRow<NetArbitration>>
+nameTable(NetArbitration)
+{
+    static constexpr NameRow<NetArbitration> names[] = {
+        {"rr", NetArbitration::RoundRobin},
+        {"priority", NetArbitration::Priority},
+        {"round-robin", NetArbitration::RoundRobin},
+    };
+    return names;
+}
 
 /** Interconnect selection — one axis of the design space. */
 struct NetParams
@@ -94,17 +121,6 @@ struct NetParams
      */
     std::uint64_t snoopFilterCapacity = 0;
 };
-
-/// @name Names and parsers for the CLI/design-space axis.
-/// @{
-const char *netTopologyName(NetTopology topology);
-const char *netArbitrationName(NetArbitration arbitration);
-/** Parse "atomic" / "split" / "tree"; false on unknown names. */
-bool parseNetTopology(const std::string &text, NetTopology *out);
-/** Parse "rr" / "priority"; false on unknown names. */
-bool parseNetArbitration(const std::string &text,
-                         NetArbitration *out);
-/// @}
 
 } // namespace scmp
 

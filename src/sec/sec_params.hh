@@ -30,7 +30,8 @@
 #define SCMP_SEC_SEC_PARAMS_HH
 
 #include <cstdint>
-#include <string>
+
+#include "sim/names.hh"
 
 namespace scmp
 {
@@ -43,6 +44,26 @@ enum class IsolationMode : std::uint8_t
     Color,    //!< per-domain set coloring
     Rand,     //!< per-domain keyed index hash + epoch rekeying
 };
+
+inline std::span<const NameRow<IsolationMode>>
+nameTable(IsolationMode)
+{
+    static constexpr NameRow<IsolationMode> names[] = {
+        {"none", IsolationMode::None,
+         "open shared cache — every line contends everywhere "
+         "(default)"},
+        {"waypart", IsolationMode::WayPart,
+         "way partitioning: each domain fills only its own ways per "
+         "set"},
+        {"color", IsolationMode::Color,
+         "set coloring: the index space is carved into per-domain "
+         "regions"},
+        {"rand", IsolationMode::Rand,
+         "randomized indexing: per-domain keyed index hash, rekeyed "
+         "and\nflushed every --rekey-fills=N fills"},
+    };
+    return names;
+}
 
 /** SCC isolation axis (security domain = localCpu % domains). */
 struct SecParams
@@ -63,12 +84,6 @@ struct SecParams
     /** Rand only: base key the per-domain/per-epoch keys derive from. */
     std::uint64_t key = 0x5ecc0ffee1234567ull;
 };
-
-/** CLI name of a mode ("none", "waypart", "color", "rand"). */
-const char *isolationModeName(IsolationMode mode);
-
-/** Parse a CLI mode name. @return false on unknown text. */
-bool parseIsolationMode(const std::string &text, IsolationMode *out);
 
 } // namespace scmp
 

@@ -67,30 +67,6 @@ analyticKey(std::uint64_t key)
 
 } // namespace
 
-SweepModel
-parseSweepModel(std::string_view text)
-{
-    if (text == "cycle")
-        return SweepModel::Cycle;
-    if (text == "analytic")
-        return SweepModel::Analytic;
-    if (text == "hybrid")
-        return SweepModel::Hybrid;
-    fatal("unknown sweep model '", std::string(text),
-          "' (expected cycle, analytic or hybrid)");
-}
-
-const char *
-sweepModelName(SweepModel model)
-{
-    switch (model) {
-      case SweepModel::Cycle: return "cycle";
-      case SweepModel::Analytic: return "analytic";
-      case SweepModel::Hybrid: return "hybrid";
-    }
-    return "?";
-}
-
 void
 setDefaultSweepOptions(const SweepOptions &options)
 {

@@ -24,11 +24,11 @@
 #define SCMP_SWEEP_SWEEP_HH
 
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/design_space.hh"
 #include "obs/recorder.hh"
+#include "sim/names.hh"
 #include "sweep/result_store.hh"
 
 namespace scmp::sweep
@@ -54,11 +54,16 @@ enum class SweepModel
     Hybrid,
 };
 
-/** Parse "cycle"/"analytic"/"hybrid"; fatal on anything else. */
-SweepModel parseSweepModel(std::string_view text);
-
-/** The canonical lowercase name of @p model. */
-const char *sweepModelName(SweepModel model);
+inline std::span<const NameRow<SweepModel>>
+nameTable(SweepModel)
+{
+    static constexpr NameRow<SweepModel> names[] = {
+        {"cycle", SweepModel::Cycle},
+        {"analytic", SweepModel::Analytic},
+        {"hybrid", SweepModel::Hybrid},
+    };
+    return names;
+}
 
 /** Execution knobs for one sweep (--jobs/--results/--resume). */
 struct SweepOptions

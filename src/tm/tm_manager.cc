@@ -9,26 +9,6 @@
 namespace scmp
 {
 
-const char *
-tmModeName(TmMode mode)
-{
-    switch (mode) {
-      case TmMode::Off: return "off";
-      case TmMode::Eager: return "eager";
-      case TmMode::Lazy: return "lazy";
-    }
-    return "?";
-}
-
-bool
-parseTmMode(const std::string &text, TmMode *out)
-{
-    if (text == "off") { *out = TmMode::Off; return true; }
-    if (text == "eager") { *out = TmMode::Eager; return true; }
-    if (text == "lazy") { *out = TmMode::Lazy; return true; }
-    return false;
-}
-
 TmStats::TmStats(stats::Group *parent)
     : group(parent, "tm"),
       begins(&group, "begins", "transactions started"),

@@ -13,8 +13,8 @@
 #define SCMP_TM_TM_PARAMS_HH
 
 #include <cstdint>
-#include <string>
 
+#include "sim/names.hh"
 #include "sim/types.hh"
 
 namespace scmp
@@ -30,6 +30,21 @@ enum class TmMode : std::uint8_t
     /** TSX-style: write set validated and published at commit. */
     Lazy,
 };
+
+inline std::span<const NameRow<TmMode>>
+nameTable(TmMode)
+{
+    static constexpr NameRow<TmMode> names[] = {
+        {"off", TmMode::Off,
+         "plain locks — the baseline TM speedups divide by (default)"},
+        {"eager", TmMode::Eager,
+         "LogTM-style: conflicts detected at access time, requester\n"
+         "aborts on an older conflictor (timestamp tiebreak)"},
+        {"lazy", TmMode::Lazy,
+         "TSX-style: conflicts detected at commit, committer wins"},
+    };
+    return names;
+}
 
 /** HTM selection. Inert under Off (the point key skips it). */
 struct TmParams
@@ -60,13 +75,6 @@ struct TmParams
     /** Fixed cost of an abort (restore checkpoint, drop lines). */
     Cycle abortCost = 16;
 };
-
-/// @name Names and parsers for the CLI/design-space axis.
-/// @{
-const char *tmModeName(TmMode mode);
-/** Parse "off" / "eager" / "lazy"; false on unknown names. */
-bool parseTmMode(const std::string &text, TmMode *out);
-/// @}
 
 } // namespace scmp
 

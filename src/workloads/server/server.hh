@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "core/workload.hh"
+#include "sim/names.hh"
 
 namespace scmp
 {
@@ -67,6 +68,16 @@ enum class ArrivalMode
     Open,
     Closed,
 };
+
+inline std::span<const NameRow<ArrivalMode>>
+nameTable(ArrivalMode)
+{
+    static constexpr NameRow<ArrivalMode> names[] = {
+        {"open", ArrivalMode::Open},
+        {"closed", ArrivalMode::Closed},
+    };
+    return names;
+}
 
 /** The scenario's knobs. */
 struct ServerParams

@@ -109,7 +109,7 @@ main()
                                 stderr,
                                 "FAIL: no checks performed "
                                 "(net %s seed %llu procs %d)\n",
-                                netTopologyName(topology),
+                                nameOf(topology),
                                 (unsigned long long)seed, p);
                             return 1;
                         }
@@ -121,7 +121,7 @@ main()
             }
         }
         std::printf("fuzz smoke [%s]: %d runs clean\n",
-                    netTopologyName(topology), topologyRuns);
+                    nameOf(topology), topologyRuns);
     }
 
     // Banked-DRAM pass: queued fills on every fabric; on the tree,
@@ -163,7 +163,7 @@ main()
                             stderr,
                             "FAIL: no checks performed "
                             "(banked net %s seed %llu procs %d)\n",
-                            netTopologyName(topology),
+                            nameOf(topology),
                             (unsigned long long)seed, p);
                         return 1;
                     }
@@ -195,7 +195,7 @@ main()
             }
         }
         std::printf("fuzz smoke [%s banked]: %d runs clean\n",
-                    netTopologyName(topology), topologyRuns);
+                    nameOf(topology), topologyRuns);
     }
 
     // Weak-ordering pass: tiny store buffers so full-buffer drains
@@ -241,7 +241,7 @@ main()
                             "FAIL: weak run exercised no "
                             "relaxation (net %s seed %llu "
                             "procs %d)\n",
-                            netTopologyName(topology),
+                            nameOf(topology),
                             (unsigned long long)seed, p);
                         return 1;
                     }
@@ -253,7 +253,7 @@ main()
                                 "FAIL: stores left undrained at "
                                 "end of run (net %s seed %llu "
                                 "cpu %d)\n",
-                                netTopologyName(topology),
+                                nameOf(topology),
                                 (unsigned long long)seed, cpu);
                             return 1;
                         }
@@ -265,7 +265,7 @@ main()
             }
         }
         std::printf("fuzz smoke [%s weak]: %d runs clean\n",
-                    netTopologyName(topology), topologyRuns);
+                    nameOf(topology), topologyRuns);
     }
 
     // TM pass: both conflict managers at a set size small enough
@@ -323,8 +323,8 @@ main()
                                 "FAIL: tm run exercised no "
                                 "speculation (%s net %s seed %llu "
                                 "procs %d)\n",
-                                tmModeName(mode),
-                                netTopologyName(topology),
+                                nameOf(mode),
+                                nameOf(topology),
                                 (unsigned long long)seed, p);
                             return 1;
                         }
@@ -336,7 +336,7 @@ main()
             }
         }
         std::printf("fuzz smoke [%s tm]: %d runs clean\n",
-                    netTopologyName(topology), topologyRuns);
+                    nameOf(topology), topologyRuns);
     }
 
     // Isolation pass: every mitigation over every fabric and
@@ -389,8 +389,8 @@ main()
                                 "FAIL: isolated run walked no "
                                 "partition checks (%s net %s seed "
                                 "%llu procs %d)\n",
-                                isolationModeName(mode),
-                                netTopologyName(topology),
+                                nameOf(mode),
+                                nameOf(topology),
                                 (unsigned long long)seed, p);
                             return 1;
                         }
@@ -402,7 +402,7 @@ main()
             }
         }
         std::printf("fuzz smoke [%s isolation]: %d runs clean\n",
-                    netTopologyName(topology), topologyRuns);
+                    nameOf(topology), topologyRuns);
     }
 
     std::printf("fuzz smoke: %d runs clean, %llu checks\n", runs,

@@ -56,18 +56,18 @@ TEST(MemoryBackendFactory, SelectsKind)
 TEST(MemBackendNames, ParseRoundTrip)
 {
     MemBackendKind kind;
-    EXPECT_TRUE(parseMemBackend("banked", &kind));
+    EXPECT_TRUE(parseName("banked", &kind));
     EXPECT_EQ(kind, MemBackendKind::Banked);
-    EXPECT_FALSE(parseMemBackend("rambus", &kind));
-    EXPECT_STREQ(memBackendName(MemBackendKind::Flat), "flat");
+    EXPECT_FALSE(parseName("rambus", &kind));
+    EXPECT_STREQ(nameOf(MemBackendKind::Flat), "flat");
 
     MemSched sched;
-    EXPECT_TRUE(parseMemSched("frfcfs", &sched));
+    EXPECT_TRUE(parseName("frfcfs", &sched));
     EXPECT_EQ(sched, MemSched::FrFcfs);
-    EXPECT_TRUE(parseMemSched("fr-fcfs", &sched));
+    EXPECT_TRUE(parseName("fr-fcfs", &sched));
     EXPECT_EQ(sched, MemSched::FrFcfs);
-    EXPECT_FALSE(parseMemSched("lottery", &sched));
-    EXPECT_STREQ(memSchedName(MemSched::Fcfs), "fcfs");
+    EXPECT_FALSE(parseName("lottery", &sched));
+    EXPECT_STREQ(nameOf(MemSched::Fcfs), "fcfs");
 }
 
 TEST(BankedDram, RowOutcomeTiming)

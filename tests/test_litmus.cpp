@@ -155,8 +155,8 @@ TEST(Litmus, StoreBufferingObservableUnderWeak)
         // both loads read 0: the relaxed outcome sequential
         // consistency forbids. Draining everything afterwards must
         // satisfy the oracle's fence-ordered-visibility check.
-        EXPECT_EQ(r0, 0u) << netTopologyName(fabric.topology);
-        EXPECT_EQ(r1, 0u) << netTopologyName(fabric.topology);
+        EXPECT_EQ(r0, 0u) << nameOf(fabric.topology);
+        EXPECT_EQ(r1, 0u) << nameOf(fabric.topology);
         machine.fence(0, 2000);
         machine.fence(1, 2000);
         EXPECT_EQ(machine.checker()->pendingStores(0), 0u);
@@ -172,8 +172,8 @@ TEST(Litmus, StoreBufferingForbiddenUnderSc)
         // must see them.
         Machine machine(litmusConfig(fabric, ConsistencyModel::Sc));
         auto [r0, r1] = runStoreBuffering(machine, false);
-        EXPECT_NE(r0, 0u) << netTopologyName(fabric.topology);
-        EXPECT_NE(r1, 0u) << netTopologyName(fabric.topology);
+        EXPECT_NE(r0, 0u) << nameOf(fabric.topology);
+        EXPECT_NE(r1, 0u) << nameOf(fabric.topology);
     }
 }
 
@@ -213,7 +213,7 @@ TEST(Litmus, StoreBufferingNeverBothZeroUnderSc)
                 }
             }
             EXPECT_FALSE(r0 == 0 && r1 == 0)
-                << netTopologyName(fabric.topology);
+                << nameOf(fabric.topology);
         }
     }
 }
@@ -226,8 +226,8 @@ TEST(Litmus, FencesRestoreScOutcomeUnderWeak)
         Machine machine(
             litmusConfig(fabric, ConsistencyModel::Weak));
         auto [r0, r1] = runStoreBuffering(machine, true);
-        EXPECT_NE(r0, 0u) << netTopologyName(fabric.topology);
-        EXPECT_NE(r1, 0u) << netTopologyName(fabric.topology);
+        EXPECT_NE(r0, 0u) << nameOf(fabric.topology);
+        EXPECT_NE(r1, 0u) << nameOf(fabric.topology);
     }
 }
 
@@ -247,11 +247,11 @@ TEST(Litmus, MessagePassingWithFences)
         Cycle now = 0;
         for (int spin = 0; spin < 8 && !flag; ++spin)
             flag = loadAt(machine, 1, addrFlag, now++);
-        ASSERT_NE(flag, 0u) << netTopologyName(fabric.topology);
+        ASSERT_NE(flag, 0u) << nameOf(fabric.topology);
         check::Value data = loadAt(machine, 1, addrData, now);
         // Fence-ordered visibility: a consumer that saw the flag
         // must see the payload.
-        EXPECT_NE(data, 0u) << netTopologyName(fabric.topology);
+        EXPECT_NE(data, 0u) << nameOf(fabric.topology);
     }
 }
 
@@ -269,7 +269,7 @@ TEST(Litmus, CoherentReadReadAndReadOwnWrite)
         // store (read-own-write), verified by the oracle.
         machine.access(0, RefType::Write, addrX, 1, 0);
         check::Value own = loadAt(machine, 0, addrX, 2);
-        EXPECT_NE(own, 0u) << netTopologyName(fabric.topology);
+        EXPECT_NE(own, 0u) << nameOf(fabric.topology);
         EXPECT_GT(checker.forwardsChecked.value(), forwardsBefore);
 
         // cpu1 reads X twice, with cpu0's drain landing in between:
@@ -278,8 +278,8 @@ TEST(Litmus, CoherentReadReadAndReadOwnWrite)
         machine.fence(0, 1000);
         check::Value second = loadAt(machine, 1, addrX, 2000);
         EXPECT_GE(second, first)
-            << netTopologyName(fabric.topology);
-        EXPECT_EQ(second, own) << netTopologyName(fabric.topology);
+            << nameOf(fabric.topology);
+        EXPECT_EQ(second, own) << nameOf(fabric.topology);
     }
 }
 

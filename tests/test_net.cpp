@@ -495,14 +495,14 @@ TEST(Net, FactorySelectsTopology)
 TEST(Net, ParseNamesRoundTrip)
 {
     NetTopology topology;
-    EXPECT_TRUE(parseNetTopology("split", &topology));
+    EXPECT_TRUE(parseName("split", &topology));
     EXPECT_EQ(topology, NetTopology::Split);
-    EXPECT_FALSE(parseNetTopology("banyan", &topology));
+    EXPECT_FALSE(parseName("banyan", &topology));
 
     NetArbitration arbitration;
-    EXPECT_TRUE(parseNetArbitration("priority", &arbitration));
+    EXPECT_TRUE(parseName("priority", &arbitration));
     EXPECT_EQ(arbitration, NetArbitration::Priority);
-    EXPECT_FALSE(parseNetArbitration("lottery", &arbitration));
+    EXPECT_FALSE(parseName("lottery", &arbitration));
 }
 
 } // namespace

@@ -46,12 +46,12 @@ TEST(SecParams, ParseRoundTrip)
     for (IsolationMode mode : modes) {
         IsolationMode parsed = IsolationMode::None;
         EXPECT_TRUE(
-            parseIsolationMode(isolationModeName(mode), &parsed));
+            parseName(nameOf(mode), &parsed));
         EXPECT_EQ(parsed, mode);
     }
     IsolationMode parsed = IsolationMode::None;
-    EXPECT_FALSE(parseIsolationMode("flush", &parsed));
-    EXPECT_FALSE(parseIsolationMode("", &parsed));
+    EXPECT_FALSE(parseName("flush", &parsed));
+    EXPECT_FALSE(parseName("", &parsed));
 }
 
 // ---------------------------------------------------------------

@@ -1,16 +1,19 @@
 /**
  * @file
  * Unit tests for the sim foundation: types, logging helpers,
- * tables and configuration.
+ * tables, configuration and the enum name tables.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
+#include "core/machine.hh"
 #include "sim/config.hh"
 #include "sim/table.hh"
 #include "sim/types.hh"
+#include "sweep/sweep.hh"
+#include "workloads/server/server.hh"
 
 namespace
 {
@@ -113,15 +116,83 @@ INSTANTIATE_TEST_SUITE_P(
                       SizeCase{"4Q", 0, false},
                       SizeCase{"", 0, false}));
 
-TEST(Config, UnreadKeys)
+TEST(ConfigDeath, UnreadKeyIsRejected)
 {
     Config config;
     config.set("used", (std::int64_t)1);
     config.set("unused", (std::int64_t)2);
     config.getInt("used");
-    auto unread = config.unreadKeys();
-    ASSERT_EQ(unread.size(), 1u);
-    EXPECT_EQ(unread[0], "unused");
+    EXPECT_EXIT(config.rejectUnread(), ::testing::ExitedWithCode(1),
+                "unknown flag '--unused'");
+    config.getInt("unused");
+    config.rejectUnread();
+}
+
+TEST(Config, GetEnum)
+{
+    Config config;
+    EXPECT_EQ(config.getEnum("net", NetTopology::Split),
+              NetTopology::Split);
+    config.set("net", std::string("tree"));
+    EXPECT_EQ(config.getEnum("net", NetTopology::Atomic),
+              NetTopology::Tree);
+    config.set("arbitration", std::string("round-robin"));
+    EXPECT_EQ(config.getEnum("arbitration", NetArbitration::Priority),
+              NetArbitration::RoundRobin);
+}
+
+TEST(ConfigDeath, GetEnumNamesTheChoices)
+{
+    Config config;
+    config.set("tm", std::string("optimistic"));
+    EXPECT_EXIT(config.getEnum("tm", TmMode::Off),
+                ::testing::ExitedWithCode(1),
+                "--tm must be 'off', 'eager' or 'lazy' "
+                "\\(got 'optimistic'\\)");
+}
+
+/**
+ * One enum's name table: every row parses to its value, canonical
+ * rows round-trip through nameOf() while aliases do not, unknown
+ * text is refused, and the choices string is @p choices.
+ */
+template <class Enum>
+void
+checkNameTable(const std::string &choices)
+{
+    for (const NameRow<Enum> &row : nameTable(Enum{})) {
+        Enum parsed{};
+        EXPECT_TRUE(parseName(row.name, &parsed)) << row.name;
+        EXPECT_EQ(parsed, row.value) << row.name;
+        if (isCanonical(row)) {
+            EXPECT_STREQ(nameOf(row.value), row.name);
+        } else {
+            EXPECT_STRNE(nameOf(row.value), row.name);
+        }
+    }
+    Enum parsed = nameTable(Enum{}).back().value;
+    EXPECT_FALSE(parseName("no-such-name", &parsed));
+    EXPECT_FALSE(parseName("", &parsed));
+    EXPECT_EQ(parsed, nameTable(Enum{}).back().value);
+    EXPECT_EQ(nameChoices<Enum>(), choices);
+}
+
+TEST(Names, EveryTableRoundTrips)
+{
+    // The choices strings are what the cli_unknown_* ctests match.
+    checkNameTable<CoherenceProtocol>("'invalidate' or 'update'");
+    checkNameTable<ClusterOrganization>("'shared' or 'private'");
+    checkNameTable<NetTopology>("'atomic', 'split' or 'tree'");
+    checkNameTable<NetArbitration>("'rr' or 'priority'");
+    checkNameTable<MemBackendKind>("'flat' or 'banked'");
+    checkNameTable<MemSched>("'fcfs' or 'frfcfs'");
+    checkNameTable<ConsistencyModel>("'sc' or 'weak'");
+    checkNameTable<TmMode>("'off', 'eager' or 'lazy'");
+    checkNameTable<IsolationMode>(
+        "'none', 'waypart', 'color' or 'rand'");
+    checkNameTable<sweep::SweepModel>(
+        "'cycle', 'analytic' or 'hybrid'");
+    checkNameTable<server::ArrivalMode>("'open' or 'closed'");
 }
 
 TEST(ConfigDeath, BadInteger)

@@ -343,11 +343,11 @@ TEST(TmFallback, CapacityStarvedTxnTakesTheLock)
         WideTxnWorkload workload;
         Arena arena(config.arenaBytes);
         RunResult result = runParallel(config, workload, &arena);
-        EXPECT_TRUE(result.verified) << tmModeName(mode);
+        EXPECT_TRUE(result.verified) << nameOf(mode);
         // Exactly maxAborts capacity aborts, then the lock.
-        EXPECT_EQ(result.tmAborts, 3u) << tmModeName(mode);
-        EXPECT_EQ(result.tmFallbacks, 1u) << tmModeName(mode);
-        EXPECT_EQ(result.tmCommits, 0u) << tmModeName(mode);
+        EXPECT_EQ(result.tmAborts, 3u) << nameOf(mode);
+        EXPECT_EQ(result.tmFallbacks, 1u) << nameOf(mode);
+        EXPECT_EQ(result.tmCommits, 0u) << nameOf(mode);
     }
 }
 
