@@ -21,6 +21,7 @@ main(int argc, char **argv)
 {
     using namespace scmp;
     auto options = bench::parseBenchArgs(argc, argv);
+    options.config.rejectUnread();
 
     const Cycle occupancies[] = {1, 4, 8, 16, 32};
 

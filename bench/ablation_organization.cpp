@@ -24,6 +24,7 @@ main(int argc, char **argv)
 {
     using namespace scmp;
     auto options = bench::parseBenchArgs(argc, argv);
+    options.config.rejectUnread();
 
     struct WorkloadSpec
     {

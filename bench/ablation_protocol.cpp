@@ -21,6 +21,7 @@ main(int argc, char **argv)
 {
     using namespace scmp;
     auto options = bench::parseBenchArgs(argc, argv);
+    options.config.rejectUnread();
 
     for (Cycle addressOccupancy : {Cycle(1), Cycle(8)}) {
         Table table(

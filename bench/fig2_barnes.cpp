@@ -18,6 +18,7 @@ main(int argc, char **argv)
 {
     using namespace scmp;
     auto options = bench::parseBenchArgs(argc, argv);
+    options.config.rejectUnread();
 
     auto points = DesignSpace::sweep(
         bench::barnesFactory(options), MachineConfig{},

@@ -19,6 +19,7 @@ main(int argc, char **argv)
 {
     using namespace scmp;
     auto options = bench::parseBenchArgs(argc, argv);
+    options.config.rejectUnread();
 
     Table table("Figure 5: multiprogramming normalized execution "
                 "time (1P/4KB = 100)");

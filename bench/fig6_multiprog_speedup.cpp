@@ -18,6 +18,7 @@ main(int argc, char **argv)
 {
     using namespace scmp;
     auto options = bench::parseBenchArgs(argc, argv);
+    options.config.rejectUnread();
 
     Table table("Figure 6: multiprogramming self-relative speedup "
                 "(vs 1 proc at the same SCC size)");

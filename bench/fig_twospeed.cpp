@@ -228,22 +228,17 @@ struct ServerReport
 };
 
 ServerReport
-measureServer(const bench::BenchOptions &options)
+measureServer(const bench::BenchOptions &options,
+              const server::ServerParams &params,
+              const std::string &resultsPath)
 {
-    server::ServerParams params;
-    params.requests = (std::uint64_t)options.config.getInt(
-        "server-requests", 250'000);
-    params.offeredLoad =
-        options.config.getDouble("server-load", 0.70);
-
     sweep::SweepOptions sweepOptions = options.sweep;
     sweepOptions.model = sweep::SweepModel::Hybrid;
     // Four frontier points x 250K requests = the 1M-request bar.
     sweepOptions.topK =
         options.sweep.topK > 0 ? options.sweep.topK : 4;
     sweepOptions.scale = "server";
-    sweepOptions.resultsPath = options.config.getString(
-        "server-results", "twospeed_server.jsonl");
+    sweepOptions.resultsPath = resultsPath;
     sweepOptions.resume = false;
 
     MachineConfig base;
@@ -356,6 +351,15 @@ main(int argc, char **argv)
 {
     using namespace scmp;
     auto options = bench::parseBenchArgs(argc, argv);
+    server::ServerParams serverParams;
+    serverParams.requests = (std::uint64_t)options.config.getInt(
+        "server-requests", 250'000);
+    serverParams.offeredLoad =
+        options.config.getDouble("server-load", 0.70);
+    std::string serverResults = options.config.getString(
+        "server-results", "twospeed_server.jsonl");
+    std::string jsonPath = options.config.getString("json", "");
+    options.config.rejectUnread();
 
     std::vector<GridReport> grids = {
         measureGrid("fig2", "barnes",
@@ -395,7 +399,8 @@ main(int argc, char **argv)
                     100.0 * g.relError());
     }
 
-    ServerReport server = measureServer(options);
+    ServerReport server =
+        measureServer(options, serverParams, serverResults);
     std::printf("\nserver hybrid sweep: %zu points, %zu-point "
                 "frontier replayed %llu requests in %.1f s\n",
                 server.points, server.frontier,
@@ -413,10 +418,9 @@ main(int argc, char **argv)
                     r.throughput);
     }
 
-    if (options.config.has("json")) {
-        writeJson(options.config.getString("json"), grids, golden,
-                  server, bench::scaleName(options.scale),
-                  options.sweep.jobs);
+    if (!jsonPath.empty()) {
+        writeJson(jsonPath, grids, golden, server,
+                  bench::scaleName(options.scale), options.sweep.jobs);
     }
     return 0;
 }

@@ -20,6 +20,7 @@ main(int argc, char **argv)
 {
     using namespace scmp;
     auto options = bench::parseBenchArgs(argc, argv);
+    options.config.rejectUnread();
 
     // The paper's Table 4 uses exactly these three sizes.
     if (!options.config.has("sizes"))

@@ -19,6 +19,7 @@ main(int argc, char **argv)
 {
     using namespace scmp;
     auto options = bench::parseBenchArgs(argc, argv);
+    options.config.rejectUnread();
 
     std::uint64_t instructions =
         options.scale == bench::Scale::Quick ? 200'000 : 2'000'000;

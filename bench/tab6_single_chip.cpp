@@ -35,6 +35,7 @@ main(int argc, char **argv)
 {
     using namespace scmp;
     auto options = bench::parseBenchArgs(argc, argv);
+    options.config.rejectUnread();
 
     cost::AreaModel area;
     cost::TimingModel timing;

@@ -36,6 +36,7 @@ main(int argc, char **argv)
 {
     using namespace scmp;
     auto options = bench::parseBenchArgs(argc, argv);
+    options.config.rejectUnread();
 
     const ConfigSpec specs[] = {
         {"2 Procs/32KB", 2, 32ull << 10, 3},

@@ -22,6 +22,7 @@ main(int argc, char **argv)
 {
     using namespace scmp;
     auto options = bench::parseBenchArgs(argc, argv);
+    options.config.rejectUnread();
 
     cost::AreaModel model;
     cost::TimingModel timing;

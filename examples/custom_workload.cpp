@@ -144,6 +144,7 @@ main(int argc, char **argv)
     config.parseArgs(argc, argv);
     int items = (int)config.getInt("items", 100000);
     int buckets = (int)config.getInt("buckets", 256);
+    config.rejectUnread();
 
     std::printf("%-22s %12s %10s %12s %8s\n", "configuration",
                 "cycles", "rd-miss", "invalidations", "ok");

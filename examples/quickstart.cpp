@@ -39,6 +39,7 @@ main(int argc, char **argv)
 
     scmp::splash::Barnes barnes(params);
     bool dumpStats = config.getBool("stats", false);
+    config.rejectUnread();
     scmp::RunResult result = scmp::runParallel(
         machine, barnes, nullptr,
         dumpStats ? &std::cout : nullptr);

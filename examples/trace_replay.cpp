@@ -39,6 +39,30 @@ main(int argc, char **argv)
     params.nbodies = (int)config.getInt("bodies", 512);
     params.steps = (int)config.getInt("steps", 2);
 
+    // Observability for the replay sweep: one recorder per
+    // replayed machine, file outputs suffixed per SCC size so the
+    // four replays don't clobber each other.
+    obs::RecorderConfig obsConfig;
+    if (config.has("obs")) {
+        std::string obsPath = config.getString("obs");
+        obsConfig.enabled = true;
+        obsConfig.tracePath =
+            (obsPath == "true" || obsPath == "1")
+                ? "scmp_replay_trace.json"
+                : obsPath;
+    }
+    if (config.has("obs-series")) {
+        obsConfig.enabled = true;
+        obsConfig.seriesPath = config.getString("obs-series");
+    }
+    if (config.has("obs-interval")) {
+        obsConfig.enabled = true;
+        obsConfig.intervalCycles = config.getSize("obs-interval");
+    }
+    if (obsConfig.enabled && obsConfig.intervalCycles == 0)
+        obsConfig.intervalCycles = obs::defaultObsInterval;
+    config.rejectUnread();
+
     // 1. Record: run the workload once under a TracingMemory.
     MachineConfig recordConfig;
     recordConfig.cpusPerCluster = procs;
@@ -67,28 +91,6 @@ main(int argc, char **argv)
                     (unsigned long long)engine.finishTime());
     }
 
-    // Observability for the replay sweep: one recorder per
-    // replayed machine, file outputs suffixed per SCC size so the
-    // four replays don't clobber each other.
-    obs::RecorderConfig obsConfig;
-    if (config.has("obs")) {
-        std::string obsPath = config.getString("obs");
-        obsConfig.enabled = true;
-        obsConfig.tracePath =
-            (obsPath == "true" || obsPath == "1")
-                ? "scmp_replay_trace.json"
-                : obsPath;
-    }
-    if (config.has("obs-series")) {
-        obsConfig.enabled = true;
-        obsConfig.seriesPath = config.getString("obs-series");
-    }
-    if (config.has("obs-interval")) {
-        obsConfig.enabled = true;
-        obsConfig.intervalCycles = config.getSize("obs-interval");
-    }
-    if (obsConfig.enabled && obsConfig.intervalCycles == 0)
-        obsConfig.intervalCycles = obs::defaultObsInterval;
     auto suffixed = [](const std::string &file,
                        const std::string &tag) {
         if (file.empty())
