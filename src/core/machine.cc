@@ -15,6 +15,7 @@ MachineConfig::check() const
     fatal_if(!isPowerOf2(scc.sizeBytes), "SCC size must be 2^n");
     fatal_if(scc.lineBytes == 0 || !isPowerOf2(scc.lineBytes),
              "SCC line size must be a power of two");
+    fatal_if(scc.banksPerCpu == 0, "--banks must be at least one");
     fatal_if(arenaBytes == 0, "arena must be non-empty");
     if (consistency.model == ConsistencyModel::Weak) {
         fatal_if(consistency.storeBufferEntries <= 0,
