@@ -23,6 +23,7 @@
 #include <iostream>
 
 #include "bench_common.hh"
+#include "core/design_fields.hh"
 
 int
 main(int argc, char **argv)
@@ -41,13 +42,11 @@ main(int argc, char **argv)
     base.numClusters = 4;
     base.cpusPerCluster = 4;
     base.scc.sizeBytes = 64 << 10;
-    base.consistency.storeBufferEntries =
-        (int)options.config.getInt("sb-entries", 8);
     // Store latency is what weak ordering hides, so give transfers
     // a realistic occupancy (as fig_net_scaling does) instead of
     // the paper's near-zero default.
-    base.bus.transferOccupancy = (Cycle)options.config.getIntIn(
-        "bus-occupancy", 8, 0, std::numeric_limits<std::int64_t>::max());
+    base.bus.transferOccupancy = 8;
+    readFlags(options.config, base, {"sb-entries", "bus-occupancy"});
     options.config.rejectUnread();
 
     struct Study

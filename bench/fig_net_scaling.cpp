@@ -22,6 +22,7 @@
 #include <iostream>
 
 #include "bench_common.hh"
+#include "core/design_fields.hh"
 
 int
 main(int argc, char **argv)
@@ -37,15 +38,12 @@ main(int argc, char **argv)
     MachineConfig base;
     base.cpusPerCluster = 4;
     base.scc.sizeBytes = 64 << 10;
-    base.net.segments =
-        (int)options.config.getInt("segments", 2);
-    base.net.arbitration =
-        options.config.getEnum("arbitration", base.net.arbitration);
     // The study is about fabric contention, so give transfers a
     // realistic occupancy (the paper's near-zero default would make
     // every topology look identical).
-    base.bus.transferOccupancy = (Cycle)options.config.getIntIn(
-        "bus-occupancy", 8, 0, std::numeric_limits<std::int64_t>::max());
+    base.bus.transferOccupancy = 8;
+    readFlags(options.config, base,
+              {"segments", "arbitration", "bus-occupancy"});
     options.config.rejectUnread();
 
     std::vector<MachineConfig> configs;

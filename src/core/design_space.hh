@@ -130,7 +130,7 @@ class DesignSpace
      * such as a TM set size under --tm=off) is evaluated once and
      * not repeated in the result. Each stored record is tagged with
      * the point's value on every axis named in @p axes (see
-     * sweep::axisTag()). Defined in scmp_sweep.
+     * taggedField() in core/design_fields.hh). Defined in scmp_sweep.
      *
      * @return One point per distinct configuration, in order.
      */

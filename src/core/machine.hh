@@ -62,7 +62,10 @@ nameTable(ClusterOrganization)
     return names;
 }
 
-/** Full machine configuration — one design-space point. */
+/**
+ * Full machine configuration — one design-space point. Every field
+ * is a row of core/design_fields.hh or listed there as instrumentation.
+ */
 struct MachineConfig
 {
     /** Clusters on the bus (the paper simulates four). */

@@ -7,8 +7,8 @@
  * contract every golden fixture pins) or a banked DRAM model with
  * row-buffer state and per-channel scheduling. DramParams carries
  * the banked model's geometry and timing; with the flat backend it
- * is inert, which is why the sweep point key only hashes it off the
- * default (see sweep/point_key.cc).
+ * is dead, so the sweep point key hashes it only off the default
+ * (its rows' key gate in core/design_fields.hh).
  */
 
 #ifndef SCMP_DRAM_DRAM_PARAMS_HH

@@ -77,7 +77,8 @@ struct SccParams
      * Security-isolation placement policy (src/sec). The default
      * (IsolationMode::None) is the paper's fully contended shared
      * cache, bit-identical to the pre-axis machine; the axis is
-     * hashed into sweep point keys only when a mitigation is on.
+     * hashed into sweep point keys only when a mitigation is on
+     * (see core/design_fields.hh).
      */
     SecParams sec;
 
@@ -86,7 +87,8 @@ struct SccParams
      * path). Provably bit-identical timing and statistics; the
      * switch exists so tests can prove that equivalence by running
      * both ways. Like checkCoherence, it is NOT part of the design
-     * point's identity and is never hashed into sweep keys.
+     * point's identity: core/design_fields.hh lists it as
+     * instrumentation, never hashed into sweep keys.
      */
     bool fastPath = true;
 };

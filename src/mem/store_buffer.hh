@@ -80,7 +80,7 @@ nameTable(ConsistencyModel)
     return names;
 }
 
-/** Consistency selection. Inert under Sc (the point key skips it). */
+/** Consistency selection. Dead under Sc (see core/design_fields.hh). */
 struct ConsistencyParams
 {
     ConsistencyModel model = ConsistencyModel::Sc;

@@ -22,8 +22,8 @@
  *
  * `none` is the paper's machine and the bit-identical default: the
  * axis is hashed into sweep point keys only when a mitigation is
- * on, so every stored key and golden fixture predating the axis
- * stays valid (the same pattern as --net/--mem/--consistency/--tm).
+ * on (its rows' key gate in core/design_fields.hh), so every stored
+ * key and golden fixture predating the axis stays valid.
  */
 
 #ifndef SCMP_SEC_SEC_PARAMS_HH

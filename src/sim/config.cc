@@ -1,5 +1,6 @@
 #include "config.hh"
 
+#include <cerrno>
 #include <cstdlib>
 #include <limits>
 
@@ -77,9 +78,12 @@ Config::getInt(const std::string &key, std::int64_t def) const
         return def;
     _read.insert(key);
     char *end = nullptr;
+    errno = 0;
     std::int64_t v = std::strtoll(it->second.c_str(), &end, 0);
-    fatal_if(!end || *end != '\0', "--", key,
+    fatal_if(it->second.empty() || *end != '\0', "--", key,
              ": cannot parse integer from '", it->second, "'");
+    fatal_if(errno == ERANGE, "--", key, ": '", it->second,
+             "' is out of range");
     return v;
 }
 

@@ -11,10 +11,14 @@
 #ifndef SCMP_SIM_CONFIG_HH
 #define SCMP_SIM_CONFIG_HH
 
+#include <algorithm>
+#include <concepts>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "sim/names.hh"
@@ -52,6 +56,15 @@ class Config
      */
     std::int64_t getIntIn(const std::string &key, std::int64_t def,
                           std::int64_t lo, std::int64_t hi) const;
+    /** getIntIn() over the values @p T can hold. */
+    template <std::integral T>
+    T getIntAs(const std::string &key, std::type_identity_t<T> def) const
+    {
+        using Limits = std::numeric_limits<T>;
+        constexpr std::uint64_t hi = std::min<std::uint64_t>(
+            Limits::max(), std::numeric_limits<std::int64_t>::max());
+        return has(key) ? (T)getIntIn(key, 0, Limits::min(), hi) : def;
+    }
     std::uint64_t getSize(const std::string &key,
                           std::uint64_t def = 0) const;
     /**
@@ -98,12 +111,6 @@ class Config
      * stops the run instead of being silently ignored.
      */
     void rejectUnread() const;
-
-    /** All (key, value) pairs in sorted order. */
-    const std::map<std::string, std::string> &entries() const
-    {
-        return _entries;
-    }
 
     /**
      * Parse a size with optional K/M/G suffix, e.g. "32K" → 32768.

@@ -3,6 +3,8 @@
 #include <charconv>
 #include <cstdio>
 
+#include "core/design_fields.hh"
+
 namespace scmp::sweep
 {
 
@@ -31,121 +33,15 @@ KeyHasher::mix(std::string_view text)
 std::uint64_t
 hashMachineConfig(const MachineConfig &config)
 {
+    // Instrumentation (the checker, obs, the reference tap) is not
+    // in the table, so a checked or observed run and a plain one
+    // are the same design point and share stored records.
+    MachineConfig point = normalized(config);
     KeyHasher h;
-    h.mix((std::uint64_t)config.numClusters);
-    h.mix((std::uint64_t)config.cpusPerCluster);
-    h.mix((std::uint64_t)config.organization);
-    h.mix(config.privateCacheBytes);
-
-    const SccParams &scc = config.scc;
-    h.mix(scc.sizeBytes);
-    h.mix(scc.lineBytes);
-    h.mix(scc.assoc);
-    h.mix(scc.banksPerCpu);
-    h.mix(scc.bankOccupancy);
-    h.mix((std::uint64_t)scc.stallOnUpgrade);
-    h.mix((std::uint64_t)scc.protocol);
-
-    const BusParams &bus = config.bus;
-    h.mix(bus.memoryLatency);
-    h.mix(bus.transferOccupancy);
-    h.mix(bus.addressOccupancy);
-
-    // The interconnect axis is hashed ONLY off the default atomic
-    // topology: with the atomic bus the other NetParams fields have
-    // no effect on the simulation, and every store/fixture key
-    // captured before src/net existed must keep resolving.
-    const NetParams &net = config.net;
-    if (net.topology != NetTopology::Atomic) {
-        h.mix((std::uint64_t)net.topology);
-        h.mix((std::uint64_t)net.segments);
-        h.mix((std::uint64_t)net.arbitration);
-        h.mix(net.arbLatency);
-        // A bounded snoop filter changes tree timing, but 0
-        // (unbounded) is the pre-existing behaviour: hash it only
-        // when set so every earlier tree key keeps resolving.
-        if (net.snoopFilterCapacity)
-            h.mix(net.snoopFilterCapacity);
+    for (const DesignField &field : designFields) {
+        if (field.keyed ? field.keyed(point) : field.isLive(point))
+            h.mix(field.get(point));
     }
-
-    // Same discipline for the memory backend: with the flat default
-    // DramParams is inert, and every store/fixture key captured
-    // before src/dram existed must keep resolving.
-    const DramParams &dram = config.dram;
-    if (dram.kind != MemBackendKind::Flat) {
-        h.mix((std::uint64_t)dram.kind);
-        h.mix((std::uint64_t)dram.channels);
-        h.mix((std::uint64_t)dram.banks);
-        h.mix((std::uint64_t)dram.sched);
-        h.mix(dram.rowBytes);
-        h.mix(dram.numaRemotePenalty);
-        h.mix(dram.timing.rowHit);
-        h.mix(dram.timing.rowMiss);
-        h.mix(dram.timing.rowConflict);
-        h.mix(dram.timing.burst);
-    }
-
-    // And for the consistency model: sequential consistency is the
-    // pre-existing behaviour (ConsistencyParams is inert under Sc),
-    // so the axis is hashed only when weak ordering is selected —
-    // every key captured before src/mem/store_buffer existed keeps
-    // resolving.
-    const ConsistencyParams &consistency = config.consistency;
-    if (consistency.model != ConsistencyModel::Sc) {
-        h.mix((std::uint64_t)consistency.model);
-        h.mix((std::uint64_t)consistency.storeBufferEntries);
-    }
-
-    // And for transactional memory: --tm=off leaves TmParams inert
-    // (no manager is even built), so the axis is hashed only when a
-    // conflict manager is selected — every key captured before
-    // src/tm existed keeps resolving.
-    const TmParams &tm = config.tm;
-    if (tm.mode != TmMode::Off) {
-        h.mix((std::uint64_t)tm.mode);
-        h.mix((std::uint64_t)tm.setEntries);
-        h.mix((std::uint64_t)tm.maxAborts);
-        h.mix((std::uint64_t)tm.backoffBase);
-        h.mix(tm.beginCost);
-        h.mix(tm.commitCost);
-        h.mix(tm.abortCost);
-    }
-
-    // And for the isolation axis: --isolation=none leaves SecParams
-    // inert (TagArray follows the pre-axis placement exactly), so
-    // the axis is hashed only when a mitigation is selected — every
-    // key captured before src/sec existed keeps resolving.
-    const SecParams &sec = config.scc.sec;
-    if (sec.mode != IsolationMode::None) {
-        h.mix((std::uint64_t)sec.mode);
-        h.mix((std::uint64_t)sec.domains);
-        if (sec.mode == IsolationMode::Rand) {
-            h.mix(sec.rekeyFills);
-            h.mix(sec.key);
-        }
-    }
-
-    const ICacheParams &icache = config.icache;
-    h.mix((std::uint64_t)icache.enabled);
-    h.mix(icache.sizeBytes);
-    h.mix(icache.lineBytes);
-    h.mix(icache.bytesPerInstr);
-
-    const EngineOptions &engine = config.engine;
-    h.mix((std::uint64_t)engine.slackWindow);
-    h.mix((std::uint64_t)engine.yieldLatency);
-    h.mix((std::uint64_t)engine.stackBytes);
-    h.mix(engine.barrierOverhead);
-    h.mix(engine.contextSwitchCost);
-
-    h.mix((std::uint64_t)config.arenaBytes);
-
-    // checkCoherence / checkWalkInterval and the obs recorder
-    // config are deliberately NOT hashed: both observe the
-    // simulation without altering any simulated result, so a
-    // checked/observed and a plain run of the same configuration
-    // are the same design point and may serve each other's stored
-    // records.
     return h.value();
 }
 

@@ -2,15 +2,14 @@
  * @file
  * Stable identity for one design point.
  *
- * The sweep result store is keyed by a 64-bit FNV-1a hash of every
- * field of the MachineConfig plus the workload name and run scale.
- * The hash is computed from explicitly serialized field values (not
- * raw struct bytes), so it is stable across compilers, padding
- * layouts and repository versions as long as the configuration
- * itself is unchanged — the property resume correctness rests on.
- * Any new MachineConfig field MUST be added to hashMachineConfig,
- * otherwise two genuinely different configurations could collide
- * on the same key and resume would serve the wrong result.
+ * The sweep result store is keyed by a 64-bit FNV-1a hash of the
+ * machine's design point, the design-field table's rows
+ * (core/design_fields.hh) over normalized(config), plus the workload
+ * name and run scale. Values are serialized explicitly, not as raw
+ * struct bytes, so a key is stable across compilers, padding layouts
+ * and repository versions as long as the design point is unchanged
+ * — the property resume correctness rests on. A new MachineConfig
+ * field needs a row there; test_design_fields fails until it has one.
  */
 
 #ifndef SCMP_SWEEP_POINT_KEY_HH
@@ -42,7 +41,10 @@ class KeyHasher
     std::uint64_t _hash = offsetBasis;
 };
 
-/** Hash every field of a machine configuration. */
+/**
+ * Hash a machine's design point: every live field of the design
+ * table, in table order, under each row's key gate.
+ */
 std::uint64_t hashMachineConfig(const MachineConfig &config);
 
 /**

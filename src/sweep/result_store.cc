@@ -18,47 +18,6 @@ namespace
 /** Schema version; bump when the record layout changes. */
 constexpr std::uint64_t storeVersion = 1;
 
-using Config = const MachineConfig &;
-
-/**
- * Every study's axes, in the field order records have always used.
- * A tag is written only when a study names it, so adding a row
- * leaves every existing record byte-identical.
- */
-const AxisTag axisTagTable[] = {
-    {"clusters", false,
-     [](Config c) { return std::to_string(c.numClusters); }, nullptr},
-    {"net", true,
-     [](Config c) -> std::string { return nameOf(c.net.topology); },
-     nullptr},
-    {"mem", true,
-     [](Config c) -> std::string { return nameOf(c.dram.kind); },
-     nullptr},
-    {"channels", false,
-     [](Config c) { return std::to_string(c.dram.channels); },
-     nullptr},
-    {"banks", false,
-     [](Config c) { return std::to_string(c.dram.banks); }, nullptr},
-    {"memSched", true,
-     [](Config c) -> std::string { return nameOf(c.dram.sched); },
-     nullptr},
-    {"consistency", true,
-     [](Config c) -> std::string { return nameOf(c.consistency.model); },
-     nullptr},
-    {"tm", true,
-     [](Config c) -> std::string { return nameOf(c.tm.mode); },
-     nullptr},
-    {"tmEntries", false,
-     [](Config c) { return std::to_string(c.tm.setEntries); },
-     [](Config c) { return c.tm.mode == TmMode::Off; }},
-    {"isolation", true,
-     [](Config c) -> std::string { return nameOf(c.scc.sec.mode); },
-     nullptr},
-    {"isolationDomains", false,
-     [](Config c) { return std::to_string(c.scc.sec.domains); },
-     [](Config c) { return c.scc.sec.mode == IsolationMode::None; }},
-};
-
 /** One RunResult field as it appears in a record's "result". */
 struct ResultField
 {
@@ -146,26 +105,6 @@ readValue(const Json *json, T &value)
 
 } // namespace
 
-const AxisTag &
-axisTag(std::string_view name)
-{
-    for (const AxisTag &tag : axisTagTable) {
-        if (name == tag.name)
-            return tag;
-    }
-    panic("unknown axis tag '", std::string(name), "'");
-}
-
-void
-StoredPoint::tag(const MachineConfig &config,
-                 const std::vector<const AxisTag *> &axes)
-{
-    for (const AxisTag *axis : axes) {
-        if (!axis->inert || !axis->inert(config))
-            tags[axis->name] = axis->value(config);
-    }
-}
-
 bool
 StoredPoint::describes(const MachineConfig &config,
                        const std::string &workloadName) const
@@ -175,7 +114,8 @@ StoredPoint::describes(const MachineConfig &config,
         sccBytes != config.scc.sizeBytes)
         return false;
     for (const auto &[name, value] : tags) {
-        if (axisTag(name).value(config) != value)
+        const DesignField &axis = taggedField(name);
+        if (axis.isLive(config) && axis.text(config) != value)
             return false;
     }
     return true;
@@ -197,12 +137,12 @@ ResultStore::serialize(const StoredPoint &point)
     out += ",\"scale\":" + jsonQuote(point.scale);
     out += ",\"procs\":" + std::to_string(point.cpusPerCluster);
     out += ",\"scc\":" + std::to_string(point.sccBytes);
-    for (const AxisTag &tag : axisTagTable) {
-        auto it = point.tags.find(tag.name);
+    for (const DesignField &axis : designFields) {
+        auto it = point.tags.find(axis.tag ? axis.tag : "");
         if (it == point.tags.end())
             continue;
-        out += ",\"" + std::string(tag.name) + "\":";
-        out += tag.quoted ? jsonQuote(it->second) : it->second;
+        out += ",\"" + std::string(axis.tag) + "\":";
+        out += axis.quoted ? jsonQuote(it->second) : it->second;
     }
     if (!point.model.empty())
         out += ",\"model\":" + jsonQuote(point.model);
@@ -293,11 +233,12 @@ ResultStore::deserialize(const std::string &line, StoredPoint &point,
     point.scale = scale->asString();
     point.cpusPerCluster = (int)procs->asU64();
     point.sccBytes = scc->asU64();
-    for (const AxisTag &tag : axisTagTable) {
-        if (const Json *value = doc.find(tag.name)) {
-            point.tags[tag.name] =
-                tag.quoted ? value->asString()
-                           : std::to_string(value->asU64());
+    for (const DesignField &axis : designFields) {
+        const Json *value = axis.tag ? doc.find(axis.tag) : nullptr;
+        if (value) {
+            point.tags[axis.tag] = axis.quoted
+                                       ? value->asString()
+                                       : std::to_string(value->asU64());
         }
     }
     const Json *model = doc.find("model");

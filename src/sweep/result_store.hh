@@ -28,34 +28,11 @@
 #include <string_view>
 #include <vector>
 
+#include "core/design_fields.hh"
 #include "core/parallel_run.hh"
 
 namespace scmp::sweep
 {
-
-/**
- * One optional design axis a stored record can be tagged with, so
- * a plot (scripts/sweep_plot.py) can group records by the axes a
- * study varies without decoding keys. The tag table behind
- * axisTag() (result_store.cc) is the one place src/sweep knows the
- * per-axis MachineConfig fields; records list their tags in its
- * order.
- */
-struct AxisTag
-{
-    const char *name;  //!< JSON field name
-    bool quoted;       //!< JSON string; otherwise an integer
-    /** The point's value on this axis, unquoted. */
-    std::string (*value)(const MachineConfig &config);
-    /**
-     * True when the axis is inert for @p config (e.g. the TM set
-     * size under --tm=off), so its tag is omitted; null = never.
-     */
-    bool (*inert)(const MachineConfig &config);
-};
-
-/** The tag called @p name; panics if there is none. */
-const AxisTag &axisTag(std::string_view name);
 
 /** One persisted design-point record. */
 struct StoredPoint
@@ -66,9 +43,10 @@ struct StoredPoint
     int cpusPerCluster = 0;
     std::uint64_t sccBytes = 0;
     /**
-     * Axis tags: tag name -> unquoted value. Only the axes the
-     * producing study varies are present, so records written before
-     * a tag existed parse and serialize unchanged.
+     * Axis tags: tag name -> unquoted value, for the tagged rows of
+     * the design-field table (core/design_fields.hh) the producing
+     * study varies that are live for the point, so records written
+     * before a tag existed parse and serialize unchanged.
      */
     std::map<std::string, std::string> tags;
     /**
@@ -87,14 +65,10 @@ struct StoredPoint
     /** Optional interval-metrics series (src/obs columnar JSON). */
     std::string series;
 
-    /** Tag the record with @p config's value on each of @p axes. */
-    void tag(const MachineConfig &config,
-             const std::vector<const AxisTag *> &axes);
-
     /**
      * The resume identity rule: the record describes @p config
      * when workload, procs and scc agree and every tag it carries
-     * equals @p config's value on that axis.
+     * that is live for @p config equals @p config's value.
      */
     bool describes(const MachineConfig &config,
                    const std::string &workloadName) const;

@@ -123,16 +123,13 @@ SweepExecutor::runStudy(const DesignSpace::WorkloadFactory &factory,
                         const std::vector<MachineConfig> &configs,
                         const std::vector<std::string> &axes)
 {
-    std::vector<const AxisTag *> tags;
-    for (const std::string &name : axes)
-        tags.push_back(&axisTag(name));
-    return execute(factory, configs, tags, nullptr);
+    return execute(factory, configs, axes, nullptr);
 }
 
 std::vector<DesignPoint>
 SweepExecutor::execute(const DesignSpace::WorkloadFactory &factory,
                        const std::vector<MachineConfig> &configs,
-                       const std::vector<const AxisTag *> &axes,
+                       const std::vector<std::string> &axes,
                        const MachineConfig *profileConfig)
 {
     auto sweepStart = Clock::now();
@@ -189,7 +186,11 @@ SweepExecutor::execute(const DesignSpace::WorkloadFactory &factory,
         record.scale = _options.scale;
         record.cpusPerCluster = task.config.cpusPerCluster;
         record.sccBytes = task.config.scc.sizeBytes;
-        record.tag(task.config, axes);
+        for (const std::string &name : axes) {
+            const DesignField &axis = taggedField(name);
+            if (axis.isLive(task.config))
+                record.tags[name] = axis.text(task.config);
+        }
         return record;
     };
 

@@ -167,8 +167,8 @@ class SweepExecutor
      * Evaluate every configuration in @p configs cycle-accurately
      * (whatever options().model says: the analytic screen models
      * only the procs x SCC grid), tagging each stored record with
-     * its value on every axis in @p axes (tag names, see axisTag).
-     * See DesignSpace::study.
+     * its value on every axis in @p axes (tag names, see
+     * taggedField()). See DesignSpace::study.
      *
      * @return One point per distinct point key, in order.
      */
@@ -190,7 +190,7 @@ class SweepExecutor
     std::vector<DesignPoint>
     execute(const DesignSpace::WorkloadFactory &factory,
             const std::vector<MachineConfig> &configs,
-            const std::vector<const AxisTag *> &axes,
+            const std::vector<std::string> &axes,
             const MachineConfig *profileConfig);
 
     SweepOptions _options;

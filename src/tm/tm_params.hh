@@ -5,8 +5,8 @@
  * Off is the bit-identical default: a machine built with
  * `TmParams{}` constructs no manager, routes no reference through
  * transactional code, and hashes to exactly the point key it had
- * before the axis existed (hashMachineConfig mixes TmParams only
- * when the mode is non-default, the PR 6/7 pattern).
+ * before the axis existed (the `tm.*` rows of the design-field
+ * table, core/design_fields.hh, are dead and unhashed under off).
  */
 
 #ifndef SCMP_TM_TM_PARAMS_HH
@@ -46,7 +46,7 @@ nameTable(TmMode)
     return names;
 }
 
-/** HTM selection. Inert under Off (the point key skips it). */
+/** HTM selection. Dead under Off (see core/design_fields.hh). */
 struct TmParams
 {
     TmMode mode = TmMode::Off;
