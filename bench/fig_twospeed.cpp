@@ -352,7 +352,7 @@ main(int argc, char **argv)
     using namespace scmp;
     auto options = bench::parseBenchArgs(argc, argv);
     server::ServerParams serverParams;
-    serverParams.requests = (std::uint64_t)options.config.getInt(
+    serverParams.requests = options.config.getIntAs<std::uint64_t>(
         "server-requests", 250'000);
     serverParams.offeredLoad =
         options.config.getDouble("server-load", 0.70);

@@ -51,10 +51,10 @@ main(int argc, char **argv)
 
     server::ServerParams params;
     params.requests =
-        (std::uint64_t)config.getInt("requests", 100'000);
+        config.getIntAs<std::uint64_t>("requests", 100'000);
     params.offeredLoad = config.getDouble("load", 0.70);
     params.arrival = config.getEnum("arrival", params.arrival);
-    params.thinkTime = (Cycle)config.getInt("think", 400);
+    params.thinkTime = config.getIntAs<Cycle>("think", 400);
 
     std::vector<int> procs = config.getIntList("procs", {1, 2, 4, 8}, 1);
     std::vector<std::uint64_t> sccSizes =

@@ -142,8 +142,8 @@ main(int argc, char **argv)
 {
     Config config;
     config.parseArgs(argc, argv);
-    int items = (int)config.getInt("items", 100000);
-    int buckets = (int)config.getInt("buckets", 256);
+    int items = config.getIntAs<int>("items", 100000);
+    int buckets = config.getIntAs<int>("buckets", 256);
     config.rejectUnread();
 
     std::printf("%-22s %12s %10s %12s %8s\n", "configuration",

@@ -26,16 +26,16 @@ main(int argc, char **argv)
     config.parseArgs(argc, argv);
 
     scmp::MachineConfig machine;
-    machine.numClusters = (int)config.getInt("clusters", 4);
-    machine.cpusPerCluster = (int)config.getInt("procs", 2);
+    machine.numClusters = config.getIntAs<int>("clusters", 4);
+    machine.cpusPerCluster = config.getIntAs<int>("procs", 2);
     machine.scc.sizeBytes = config.getSize("scc", 32 << 10);
 
     scmp::splash::BarnesParams params;
-    params.nbodies = (int)config.getInt("bodies", 1024);
-    params.steps = (int)config.getInt("steps", 4);
+    params.nbodies = config.getIntAs<int>("bodies", 1024);
+    params.steps = config.getIntAs<int>("steps", 4);
     params.theta = config.getDouble("theta", params.theta);
     params.dt = config.getDouble("dt", params.dt);
-    params.chunkBodies = (int)config.getInt("chunk", params.chunkBodies);
+    params.chunkBodies = config.getIntAs<int>("chunk", params.chunkBodies);
 
     scmp::splash::Barnes barnes(params);
     bool dumpStats = config.getBool("stats", false);

@@ -15,6 +15,11 @@ MachineConfig::check() const
     fatal_if(!isPowerOf2(scc.sizeBytes), "SCC size must be 2^n");
     fatal_if(scc.lineBytes == 0 || !isPowerOf2(scc.lineBytes),
              "SCC line size must be a power of two");
+    // A reference is one address with no size, so a line narrower
+    // than the widest one (an 8-byte double) would leave part of
+    // each such access unsimulated.
+    fatal_if(scc.lineBytes < 8, "--line must be at least 8 bytes, ",
+             "the widest reference (got ", scc.lineBytes, ")");
     fatal_if(scc.banksPerCpu == 0, "--banks must be at least one");
     fatal_if(arenaBytes == 0, "arena must be non-empty");
     if (consistency.model == ConsistencyModel::Weak) {
