@@ -144,29 +144,10 @@ parseBenchArgs(int argc, char **argv)
                  options.sweep.resultsPath.empty(),
              "--resume needs --results=FILE");
     // Observability (src/obs): applied to every design point the
-    // sweep builds; the executor suffixes file paths per point.
-    if (options.config.has("obs")) {
-        options.sweep.obs.enabled = true;
-        std::string path = options.config.getString("obs");
-        options.sweep.obs.tracePath =
-            (path == "true" || path == "1") ? "scmp_trace.json"
-                                            : path;
-    }
-    if (options.config.has("obs-series")) {
-        options.sweep.obs.enabled = true;
-        options.sweep.obs.seriesPath =
-            options.config.getString("obs-series");
-    }
-    if (options.config.has("obs-interval")) {
-        options.sweep.obs.enabled = true;
-        options.sweep.obs.intervalCycles =
-            options.config.getSize("obs-interval");
-        // Series sampled for the store even without a CSV path.
-        options.sweep.obs.captureSeries = true;
-    }
-    if (options.sweep.obs.enabled &&
-        options.sweep.obs.intervalCycles == 0)
-        options.sweep.obs.intervalCycles = obs::defaultObsInterval;
+    // sweep builds; the executor suffixes file paths per point, and
+    // --obs-interval also keeps each point's series for the store.
+    options.sweep.obs = obs::fromFlags(options.config, "scmp_trace.json");
+    options.sweep.obs.captureSeries = options.config.has("obs-interval");
     sweep::setDefaultSweepOptions(options.sweep);
     // --check rides on the environment so every Machine built
     // anywhere in the sweep (including worker threads) attaches the

@@ -310,4 +310,21 @@ applyEnv(RecorderConfig &config)
     }
 }
 
+RecorderConfig
+fromFlags(const Config &flags, const char *trace)
+{
+    RecorderConfig config;
+    if (flags.has("obs")) {
+        std::string path = flags.getString("obs");
+        config.tracePath = path == "true" || path == "1" ? trace : path;
+    }
+    config.seriesPath = flags.getString("obs-series", "");
+    config.intervalCycles = flags.getSize("obs-interval", 0);
+    config.enabled = flags.has("obs") || flags.has("obs-series") ||
+                     flags.has("obs-interval");
+    if (config.enabled && config.intervalCycles == 0)
+        config.intervalCycles = defaultObsInterval;
+    return config;
+}
+
 } // namespace scmp::obs

@@ -35,6 +35,11 @@
 #include "obs/sampler.hh"
 #include "sim/types.hh"
 
+namespace scmp
+{
+class Config;
+}
+
 namespace scmp::obs
 {
 
@@ -253,6 +258,14 @@ bool envObsRequested();
  */
 void applyEnv(RecorderConfig &config);
 /// @}
+
+/**
+ * The recorder the --obs flags ask for: --obs[=FILE] a trace (to
+ * @p trace when bare), --obs-series=FILE the interval series as CSV,
+ * --obs-interval=N its sampling interval. Any of them turns the
+ * recorder on, sampling every defaultObsInterval cycles by default.
+ */
+RecorderConfig fromFlags(const Config &flags, const char *trace);
 
 } // namespace scmp::obs
 
