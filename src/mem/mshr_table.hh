@@ -4,9 +4,11 @@
  *
  * The SCC tracks outstanding fills as line-address → data-ready
  * cycle (MshrTable); the reuse profiler (src/model) maps lines to
- * their stack slots. Either lookup sits on a per-reference hot
- * path, where std::unordered_map pays a heap node per entry and a
- * pointer chase per probe. This table keeps the entries in one
+ * their stack slots, and the tree fabric's snoop filter (src/net)
+ * maps them to directory entries. Each lookup sits on a
+ * per-reference or per-transaction hot path, where
+ * std::unordered_map pays a heap node per entry and a pointer
+ * chase per probe. This table keeps the entries in one
  * flat power-of-two array with linear probing and backward-shift
  * deletion: no tombstones, no allocation after construction (until
  * a rare growth), and the common miss — "no entry for this line" —
@@ -20,6 +22,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -53,6 +56,12 @@ class LineMap
      */
     Value *
     find(Addr lineAddr)
+    {
+        return const_cast<Value *>(std::as_const(*this).find(lineAddr));
+    }
+
+    const Value *
+    find(Addr lineAddr) const
     {
         std::size_t i = home(lineAddr);
         while (_slots[i].key != invalidAddr) {
