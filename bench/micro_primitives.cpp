@@ -2,14 +2,15 @@
  * @file
  * Google-benchmark microbenchmarks of the simulator primitives:
  * fiber context switches, engine dispatch, arena allocation,
- * tag-array lookups, SCC hit/miss paths, bus transactions, the RNG
- * and the pipeline model. These bound the simulator's refs/second
- * throughput.
+ * tag-array lookups, SCC hit/miss paths, bus and tree-fabric
+ * transactions, the RNG and the pipeline model. These bound the
+ * simulator's refs/second throughput.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <vector>
 
 #include "cpu/pipeline.hh"
 #include "exec/arena.hh"
@@ -18,6 +19,7 @@
 #include "mem/bus.hh"
 #include "mem/scc.hh"
 #include "mem/tag_array.hh"
+#include "net/tree.hh"
 #include "sim/rng.hh"
 
 namespace
@@ -117,6 +119,58 @@ BM_BusTransaction(benchmark::State &state)
     }
 }
 BENCHMARK(BM_BusTransaction);
+
+/** A snooper that never holds a line. */
+class NullSnooper : public Snooper
+{
+  public:
+    explicit NullSnooper(ClusterId id) : _id(id) {}
+    SnoopResult snoop(BusOp, Addr, Cycle) override { return {}; }
+    ClusterId snooperId() const override { return _id; }
+
+  private:
+    ClusterId _id;
+};
+
+void
+BM_TreeTransaction(benchmark::State &state)
+{
+    // The fabric workload's tree: 8 caches in 4 segments, a
+    // 512-entry snoop filter and banked NUMA memory. Lines are drawn
+    // from a pool 4x the filter's bound, so most transactions install
+    // a line and evict another.
+    stats::Group root("bench");
+    NetParams net;
+    net.topology = NetTopology::Tree;
+    net.segments = 4;
+    net.snoopFilterCapacity = 512;
+    DramParams dram;
+    dram.kind = MemBackendKind::Banked;
+    HierarchicalNet tree(&root, BusParams{}, net, 8, dram);
+    std::vector<NullSnooper> caches;
+    caches.reserve(8);
+    for (int i = 0; i < 8; ++i)
+        caches.emplace_back(i);
+    for (auto &cache : caches)
+        tree.attach(&cache);
+
+    Rng rng(1);
+    std::uint64_t count = 0;
+    auto step = [&] {
+        Addr line = rng.range(4 * 512) * 64;
+        BusOp op = (count & 3) == 3 ? BusOp::ReadExcl : BusOp::Read;
+        Cycle now = count * 4;
+        return tree.transaction((ClusterId)(count++ & 7), op, line,
+                                now);
+    };
+    // Fill the directory first: only the steady state is timed.
+    for (int i = 0; i < 4 * 512; ++i)
+        step();
+    for (auto _ : state)
+        benchmark::DoNotOptimize(step());
+    state.SetItemsProcessed((std::int64_t)state.iterations());
+}
+BENCHMARK(BM_TreeTransaction);
 
 /** Null memory: every access completes instantly. */
 class NullMemory : public MemorySystem
