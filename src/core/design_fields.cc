@@ -37,7 +37,7 @@ bool icacheOn(Cfg c) { return c.icache.enabled; }
 std::uint64_t
 cacheCount(Cfg c)
 {
-    return privateCaches(c) ? c.totalCpus() : c.numClusters;
+    return (std::uint64_t)c.cacheCount();
 }
 
 template <class T>

@@ -1,5 +1,7 @@
 #include "machine.hh"
 
+#include <algorithm>
+
 #include "check/checker.hh"
 #include "sim/logging.hh"
 
@@ -62,6 +64,14 @@ MachineConfig::check() const
     }
     fatal_if(net.segments <= 0,
              "--segments must be at least one");
+    if (net.topology == NetTopology::Tree) {
+        // The tree builds at most one leaf segment per cache.
+        int segments = std::min(net.segments, cacheCount());
+        fatal_if(segments > maxTreeSegments, "--segments must give at "
+                 "most ", maxTreeSegments, " leaf segments, one "
+                 "presence bit each in the tree's snoop filter (got ",
+                 segments, " over ", cacheCount(), " caches)");
+    }
     if (dram.kind == MemBackendKind::Banked) {
         fatal_if(dram.channels <= 0,
                  "--channels must be at least one");
@@ -80,12 +90,8 @@ Machine::Machine(const MachineConfig &config)
     _config.check();
     // The fabric needs the cache count up front (the tree lays out
     // its cache→segment map before the SCCs attach).
-    int plannedCaches =
-        _config.organization == ClusterOrganization::SharedCache
-            ? _config.numClusters
-            : _config.totalCpus();
     _bus = makeInterconnect(&_root, _config.bus, _config.net,
-                            _config.dram, plannedCaches);
+                            _config.dram, _config.cacheCount());
 
     if (_config.organization == ClusterOrganization::SharedCache) {
         for (int c = 0; c < _config.numClusters; ++c) {

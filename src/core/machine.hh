@@ -134,6 +134,15 @@ struct MachineConfig
 
     int totalCpus() const { return numClusters * cpusPerCluster; }
 
+    /** Caches on the fabric: one per cluster, or one per processor. */
+    int
+    cacheCount() const
+    {
+        return organization == ClusterOrganization::PrivateCaches
+                   ? totalCpus()
+                   : numClusters;
+    }
+
     /** Sanity-check user-supplied values; fatal on error. */
     void check() const;
 };

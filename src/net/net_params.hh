@@ -100,12 +100,21 @@ nameTable(NetArbitration)
     return names;
 }
 
+/**
+ * Most leaf segments a tree can have: its snoop filter keeps one
+ * presence bit per segment in a 32-bit mask.
+ */
+constexpr int maxTreeSegments = 32;
+
 /** Interconnect selection — one axis of the design space. */
 struct NetParams
 {
     NetTopology topology = NetTopology::Atomic;
 
-    /** Tree only: number of leaf bus segments. */
+    /**
+     * Tree only: number of leaf bus segments, capped at the cache
+     * count; at most maxTreeSegments after the cap.
+     */
     int segments = 2;
 
     /** Split only: arbitration discipline under contention. */

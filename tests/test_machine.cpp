@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/machine.hh"
+#include "net/tree.hh"
 
 namespace
 {
@@ -92,6 +93,44 @@ TEST(Machine, ConfigValidation)
     badScc.scc.sizeBytes = 3000;
     EXPECT_EXIT(Machine{badScc}, ::testing::ExitedWithCode(1),
                 "SCC size");
+}
+
+TEST(Machine, TreeNoWiderThanItsPresenceMask)
+{
+    // The effective segment count (--segments capped at the cache
+    // count) must fit the snoop filter's 32-bit presence mask.
+    MachineConfig wide;
+    wide.numClusters = 33;
+    wide.net.topology = NetTopology::Tree;
+    wide.net.segments = 33;
+    EXPECT_EXIT(wide.check(), ::testing::ExitedWithCode(1),
+                "--segments must give at most 32 leaf segments");
+
+    // Private caches count per processor: 9 x 4 caches is 36.
+    MachineConfig privateWide;
+    privateWide.numClusters = 9;
+    privateWide.cpusPerCluster = 4;
+    privateWide.organization = ClusterOrganization::PrivateCaches;
+    privateWide.net.topology = NetTopology::Tree;
+    privateWide.net.segments = 64;
+    EXPECT_EXIT(privateWide.check(), ::testing::ExitedWithCode(1),
+                "got 36 over 36 caches");
+
+    // 32 segments fit; 64 on 8 clusters clamp to 8; segments are
+    // dead off the tree.
+    wide.net.segments = 32;
+    wide.check();
+    MachineConfig clamped;
+    clamped.numClusters = 8;
+    clamped.net.topology = NetTopology::Tree;
+    clamped.net.segments = 64;
+    clamped.check();
+    EXPECT_EQ(dynamic_cast<HierarchicalNet &>(Machine(clamped).bus())
+                  .segments(),
+              8);
+    wide.net.topology = NetTopology::Atomic;
+    wide.net.segments = 33;
+    wide.check();
 }
 
 TEST(ICache, DisabledAddsNoStall)
