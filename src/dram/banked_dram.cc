@@ -31,6 +31,7 @@ BankedDram::BankedDram(stats::Group *parent,
     fatal_if(_params.rowBytes == 0 ||
                  (_params.rowBytes & (_params.rowBytes - 1)) != 0,
              "DRAM row size must be a power of two");
+    _rowShift = floorLog2(_params.rowBytes);
     _channels.resize((std::size_t)_params.channels);
     for (Channel &channel : _channels)
         channel.banks.resize((std::size_t)_params.banks);
@@ -42,7 +43,7 @@ BankedDram::decode(Addr lineAddr) const
     // Row-granular interleave: lines within one rowBytes block share
     // a row buffer; consecutive blocks round-robin the channels,
     // then the banks.
-    std::uint64_t block = lineAddr / _params.rowBytes;
+    std::uint64_t block = lineAddr >> _rowShift;
     Decode d;
     d.channel = (int)(block % (std::uint64_t)_params.channels);
     std::uint64_t perChannel =
