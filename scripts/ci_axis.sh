@@ -65,6 +65,16 @@ case $axis/$value in
         "$scmp" fuzz --check \
             --net="$value" --clusters=4 --segments=2 \
             --seed="$seed" --fuzz-steps=20000
+        if [ "$value" = tree ]; then
+            # One- and four-entry directories evict on nearly every
+            # new line, so the flat directory's eviction and
+            # slot-reuse paths run at maximum churn.
+            for cap in 1 4; do
+                "$scmp" fuzz --check \
+                    --net=tree --clusters=4 --segments=2 \
+                    --sf-cap="$cap" --seed="$seed" --fuzz-steps=20000
+            done
+        fi
     done
     ;;
   dram/fcfs | dram/frfcfs)
