@@ -81,8 +81,9 @@ TEST(TagArrayIsolation, WayPartConfinesFillsToDomainSlice)
         for (int domain = 0; domain < 2; ++domain) {
             Addr addr = base + (Addr)(round + 4 * domain) * stride;
             CacheLine *line = tags.victim(addr, domain);
-            if (line->valid())
+            if (line->valid()) {
                 EXPECT_EQ(line->domain, domain);
+            }
             tags.fill(line, addr, CoherenceState::Shared, domain);
         }
     }
@@ -171,8 +172,9 @@ TEST(TagArrayIsolation, RandDecorrelatesAndRekeys)
         std::uint64_t set = idx / tags.assoc();
         std::uint32_t way = (std::uint32_t)(idx % tags.assoc());
         ++idx;
-        if (l.valid() && tags.setIndexFor(l.tag, l.domain) != set)
+        if (l.valid() && tags.setIndexFor(l.tag, l.domain) != set) {
             EXPECT_FALSE(tags.placementValid(l, set, way));
+        }
     });
 }
 

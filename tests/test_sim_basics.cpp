@@ -99,8 +99,9 @@ TEST_P(ConfigSizeTest, ParseSize)
     bool ok = false;
     std::uint64_t value = Config::parseSize(GetParam().text, &ok);
     EXPECT_EQ(ok, GetParam().ok);
-    if (GetParam().ok)
+    if (GetParam().ok) {
         EXPECT_EQ(value, GetParam().expected);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

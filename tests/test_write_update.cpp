@@ -10,8 +10,8 @@
 #include <vector>
 
 #include "core/parallel_run.hh"
-#include "mem/bus.hh"
 #include "mem/scc.hh"
+#include "net/atomic_bus.hh"
 #include "workloads/splash/mp3d.hh"
 
 namespace
@@ -26,7 +26,7 @@ class WriteUpdateTest : public ::testing::Test
     SetUp() override
     {
         root = std::make_unique<stats::Group>("t");
-        bus = std::make_unique<SnoopyBus>(root.get(), BusParams{});
+        bus = std::make_unique<AtomicBus>(root.get(), BusParams{});
         SccParams params;
         params.protocol = CoherenceProtocol::WriteUpdate;
         for (ClusterId c = 0; c < 3; ++c) {
@@ -46,7 +46,7 @@ class WriteUpdateTest : public ::testing::Test
     }
 
     std::unique_ptr<stats::Group> root;
-    std::unique_ptr<SnoopyBus> bus;
+    std::unique_ptr<AtomicBus> bus;
     std::vector<std::unique_ptr<stats::Group>> groups;
     std::vector<std::unique_ptr<SharedClusterCache>> sccs;
     Cycle now = 0;
@@ -124,8 +124,9 @@ TEST_F(WriteUpdateTest, SingleWriterInvariantStillHolds)
                 ++modified;
         }
         ASSERT_LE(modified, 1);
-        if (modified == 1)
+        if (modified == 1) {
             ASSERT_EQ(present, 1);
+        }
     }
 }
 
