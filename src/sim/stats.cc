@@ -1,7 +1,6 @@
 #include "stats.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <iomanip>
 
@@ -29,10 +28,9 @@ namespace
 {
 
 /**
- * Local JSON helpers (the sim library sits below the sweep
- * library's JSON module, so it carries its own minimal escapes).
+ * Local JSON string escape (the sim library sits below the sweep
+ * library's JSON module, so it carries its own minimal one).
  */
-
 void
 printJsonString(std::ostream &os, const std::string &text)
 {
@@ -48,128 +46,14 @@ printJsonString(std::ostream &os, const std::string &text)
     os << '"';
 }
 
-void
-printJsonNumber(std::ostream &os, double value)
-{
-    if (!std::isfinite(value)) {
-        os << "null";  // JSON cannot express nan/inf
-        return;
-    }
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    os << buf;
-}
-
 } // namespace
 
 void
 Stat::printJson(std::ostream &os) const
 {
-    printJsonNumber(os, value());
-}
-
-Distribution::Distribution(Group *parent, std::string name,
-                           std::string desc, double min, double max,
-                           int buckets)
-    : Stat(parent, std::move(name), std::move(desc)),
-      _min(min), _max(max),
-      _bucketWidth((max - min) / buckets),
-      _buckets(buckets, 0)
-{
-    panic_if(buckets <= 0, "distribution needs at least one bucket");
-    panic_if(max <= min, "distribution range is empty");
-}
-
-void
-Distribution::sample(double v, std::uint64_t count)
-{
-    if (_samples == 0) {
-        _minSample = v;
-        _maxSample = v;
-    } else {
-        _minSample = std::min(_minSample, v);
-        _maxSample = std::max(_maxSample, v);
-    }
-    _samples += count;
-    _sum += v * count;
-    _sumSq += v * v * count;
-
-    if (v < _min) {
-        _underflow += count;
-    } else if (v >= _max) {
-        _overflow += count;
-    } else {
-        auto idx = (std::size_t)((v - _min) / _bucketWidth);
-        if (idx >= _buckets.size())
-            idx = _buckets.size() - 1;
-        _buckets[idx] += count;
-    }
-}
-
-double
-Distribution::mean() const
-{
-    return _samples ? _sum / _samples : 0.0;
-}
-
-double
-Distribution::stddev() const
-{
-    if (_samples < 2)
-        return 0.0;
-    double m = mean();
-    double var = _sumSq / _samples - m * m;
-    return var > 0 ? std::sqrt(var) : 0.0;
-}
-
-void
-Distribution::reset()
-{
-    std::fill(_buckets.begin(), _buckets.end(), 0);
-    _underflow = 0;
-    _overflow = 0;
-    _samples = 0;
-    _sum = 0;
-    _sumSq = 0;
-    _minSample = 0;
-    _maxSample = 0;
-}
-
-void
-Distribution::print(std::ostream &os, const std::string &prefix) const
-{
-    os << std::left << std::setw(46) << (prefix + name() + "::mean")
-       << " " << std::right << std::setw(14) << mean() << "   # "
-       << desc() << "\n";
-    os << std::left << std::setw(46)
-       << (prefix + name() + "::samples") << " " << std::right
-       << std::setw(14) << _samples << "   # sample count\n";
-    os << std::left << std::setw(46)
-       << (prefix + name() + "::stddev") << " " << std::right
-       << std::setw(14) << stddev() << "   # standard deviation\n";
-}
-
-void
-Distribution::printJson(std::ostream &os) const
-{
-    os << "{\"mean\":";
-    printJsonNumber(os, mean());
-    os << ",\"stddev\":";
-    printJsonNumber(os, stddev());
-    os << ",\"samples\":" << _samples;
-    os << ",\"min\":";
-    printJsonNumber(os, _minSample);
-    os << ",\"max\":";
-    printJsonNumber(os, _maxSample);
-    os << ",\"underflow\":" << _underflow;
-    os << ",\"overflow\":" << _overflow << "}";
-}
-
-Formula::Formula(Group *parent, std::string name, std::string desc,
-                 std::function<double()> fn)
-    : Stat(parent, std::move(name), std::move(desc)),
-      _fn(std::move(fn))
-{
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g", value());
+    os << buf;
 }
 
 Group::Group(std::string name) : _name(std::move(name))
@@ -249,15 +133,6 @@ Group::lookup(const std::string &path) const
     panic_if(!stat, "no statistic '", path, "' under group '", _name,
              "'");
     return stat->value();
-}
-
-void
-Group::resetAll()
-{
-    for (auto *stat : _stats)
-        stat->reset();
-    for (auto *child : _children)
-        child->resetAll();
 }
 
 void

@@ -2,18 +2,19 @@
  * @file
  * A small gem5-flavoured statistics package.
  *
- * Statistics are organized into named Groups; each Group owns
- * scalars, averages, distributions and formulas. A Group can dump
- * itself (and its children) as aligned text, and individual stats
- * can be read programmatically by the experiment harnesses.
+ * Every statistic is an exact 64-bit event counter: the paper's
+ * figures and tables are built from counts and cycle totals
+ * (misses, invalidations, bus transactions, cycles). Counters are
+ * organized into named Groups that form a dotted hierarchy; a Group
+ * dumps its subtree as aligned text or JSON, and individual
+ * counters can be read programmatically by the experiment
+ * harnesses.
  */
 
 #ifndef SCMP_SIM_STATS_HH
 #define SCMP_SIM_STATS_HH
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <ostream>
 #include <string>
 #include <type_traits>
@@ -24,12 +25,14 @@ namespace scmp::stats
 
 class Group;
 
-/** Base class for all statistic objects. */
+/**
+ * The read side of a counter: its name, description and value, as
+ * Group::find hands it out. Scalar adds the increments.
+ */
 class Stat
 {
   public:
     Stat(Group *parent, std::string name, std::string desc);
-    virtual ~Stat() = default;
 
     Stat(const Stat &) = delete;
     Stat &operator=(const Stat &) = delete;
@@ -37,22 +40,17 @@ class Stat
     const std::string &name() const { return _name; }
     const std::string &desc() const { return _desc; }
 
-    /** Current value as a double (distributions report their mean). */
-    virtual double value() const = 0;
+    /** Current value, as the double every dump prints. */
+    double value() const { return (double)_count; }
 
-    /** Reset to the post-construction state. */
-    virtual void reset() = 0;
+    /** Print one "name value # desc" line. */
+    void print(std::ostream &os, const std::string &prefix) const;
 
-    /** Print one or more "name value # desc" lines. */
-    virtual void print(std::ostream &os,
-                       const std::string &prefix) const;
+    /** Emit this statistic's value as one JSON number. */
+    void printJson(std::ostream &os) const;
 
-    /**
-     * Emit this statistic's value as one JSON value (scalars print
-     * a number; distributions an object of their moments).
-     * Non-finite values become null.
-     */
-    virtual void printJson(std::ostream &os) const;
+  protected:
+    std::uint64_t _count = 0;
 
   private:
     std::string _name;
@@ -60,128 +58,24 @@ class Stat
 };
 
 /**
- * A simple counter / accumulator.
- *
- * Increments and integer adds — the simulator's hot-path uses —
- * accumulate into a plain 64-bit integer (a single branch-free add,
- * no int→double conversion on the reference path); fractional adds
- * and assignments land in a separate double. The two halves fold
- * together only when the value is read. Every simulated quantity is
- * an exact integer far below 2^53, so the fold is exact and the
- * split is invisible to dumps and golden fixtures.
+ * A counter. Increments and integer adds are a single branch-free
+ * add on the reference path; every simulated quantity is an exact
+ * integer far below 2^53, so value() reads it exactly.
  */
 class Scalar : public Stat
 {
   public:
     using Stat::Stat;
 
-    Scalar &operator++() { ++_ticks; return *this; }
-    /** Integer add — the branch-free hot-path form. */
+    Scalar &operator++() { ++_count; return *this; }
     template <typename T,
               std::enable_if_t<std::is_integral_v<T>, int> = 0>
     Scalar &
     operator+=(T v)
     {
-        _ticks += (std::uint64_t)v;
+        _count += (std::uint64_t)v;
         return *this;
     }
-    Scalar &operator+=(double v) { _base += v; return *this; }
-    Scalar &
-    operator=(double v)
-    {
-        _base = v;
-        _ticks = 0;
-        return *this;
-    }
-
-    double value() const override { return _base + (double)_ticks; }
-    void reset() override { _base = 0; _ticks = 0; }
-
-  private:
-    std::uint64_t _ticks = 0;  //!< integer increments / adds
-    double _base = 0;          //!< fractional adds and assignments
-};
-
-/** Mean of all samples fed to it. */
-class Average : public Stat
-{
-  public:
-    using Stat::Stat;
-
-    void
-    sample(double v)
-    {
-        _sum += v;
-        ++_count;
-    }
-
-    double value() const override
-    {
-        return _count ? _sum / _count : 0.0;
-    }
-
-    std::uint64_t count() const { return _count; }
-
-    void reset() override { _sum = 0; _count = 0; }
-
-  private:
-    double _sum = 0;
-    std::uint64_t _count = 0;
-};
-
-/**
- * A bucketed histogram over [min, max] with fixed-width buckets,
- * plus underflow/overflow counts and running moments.
- */
-class Distribution : public Stat
-{
-  public:
-    Distribution(Group *parent, std::string name, std::string desc,
-                 double min, double max, int buckets);
-
-    void sample(double v, std::uint64_t count = 1);
-
-    double value() const override { return mean(); }
-    double mean() const;
-    double stddev() const;
-    std::uint64_t samples() const { return _samples; }
-    double minSample() const { return _minSample; }
-    double maxSample() const { return _maxSample; }
-    std::uint64_t bucket(int i) const { return _buckets.at(i); }
-    std::uint64_t underflow() const { return _underflow; }
-    std::uint64_t overflow() const { return _overflow; }
-
-    void reset() override;
-    void print(std::ostream &os,
-               const std::string &prefix) const override;
-    void printJson(std::ostream &os) const override;
-
-  private:
-    double _min;
-    double _max;
-    double _bucketWidth;
-    std::vector<std::uint64_t> _buckets;
-    std::uint64_t _underflow = 0;
-    std::uint64_t _overflow = 0;
-    std::uint64_t _samples = 0;
-    double _sum = 0;
-    double _sumSq = 0;
-    double _minSample = 0;
-    double _maxSample = 0;
-};
-
-/** A derived value computed on demand from other statistics. */
-class Formula : public Stat
-{
-  public:
-    Formula(Group *parent, std::string name, std::string desc,
-            std::function<double()> fn);
-
-    double value() const override { return _fn(); }
-    void reset() override {}
-
-  private:
-    std::function<double()> _fn;
 };
 
 /**
@@ -218,23 +112,16 @@ class Group
     /** Value of a statistic by dotted path; panics if missing. */
     double lookup(const std::string &path) const;
 
-    /** Reset this group's stats and all children recursively. */
-    void resetAll();
-
     /** Dump "path value # desc" lines for the whole subtree. */
     void dump(std::ostream &os) const;
 
     /**
      * Dump the subtree as one JSON object: each statistic becomes
-     * a member (distributions become objects of their moments) and
-     * each child group a nested object. Machine-readable companion
-     * to dump(), used to attach per-point statistics to sweep
-     * result-store records.
+     * a member and each child group a nested object.
+     * Machine-readable companion to dump(), used to attach
+     * per-point statistics to sweep result-store records.
      */
     void dumpJson(std::ostream &os) const;
-
-    const std::vector<Stat *> &localStats() const { return _stats; }
-    const std::vector<Group *> &children() const { return _children; }
 
   private:
     Group *_parent = nullptr;

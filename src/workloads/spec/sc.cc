@@ -32,7 +32,7 @@ class ScApp : public SpecApp
     static constexpr int rows = 64;
     static constexpr int cols = 48;
 
-    enum FormulaKind : std::uint8_t
+    enum CellKind : std::uint8_t
     {
         Constant,      //!< literal value
         RowSum,        //!< SUM(row, cols [argA, argB])
@@ -97,7 +97,7 @@ class ScApp : public SpecApp
         for (int r = 1; r < rows; ++r) {
             for (int c = 0; c < cols; ++c) {
                 SheetCell &cell = at(r, c);
-                switch ((FormulaKind)cell.kind.ld(ctx)) {
+                switch ((CellKind)cell.kind.ld(ctx)) {
                   case Constant:
                     cell.value.st(ctx, cell.literal.ld(ctx));
                     break;
@@ -150,7 +150,7 @@ class ScApp : public SpecApp
             const SheetCell &cell = at(r, c);
             double expect = cell.value.raw();
             double actual = expect;
-            switch ((FormulaKind)cell.kind.raw()) {
+            switch ((CellKind)cell.kind.raw()) {
               case Constant:
                 actual = cell.literal.raw();
                 break;
