@@ -17,8 +17,6 @@
  *   --topk=K       hybrid frontier size (0 = auto, max(3, total/4))
  *   --profile-shift=S  SHARDS sampling shift for the profiling
  *                  pass (rate 1/2^S, S in [0, 31]; 0 = exact)
- *   --profile-cap=N    stop recording profile histograms after N
- *                  references (0 = unbounded)
  *   --results=FILE persist each design point to a JSON-lines store
  *   --resume       skip points already present in --results
  *   --stats        attach per-point hierarchical stats to the store
@@ -128,10 +126,6 @@ parseBenchArgs(int argc, char **argv)
     options.sweep.profileSampleShift =
         (std::uint32_t)options.config.getIntIn("profile-shift", 0, 0,
                                                31);
-    options.sweep.profileMaxSamples =
-        (std::uint64_t)options.config.getIntIn(
-            "profile-cap", 0, 0,
-            std::numeric_limits<std::int64_t>::max());
     options.sweep.resultsPath =
         options.config.getString("results", "");
     options.sweep.resume = options.config.getBool("resume", false);

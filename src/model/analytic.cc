@@ -128,14 +128,14 @@ AnalyticEvaluator::evaluate(const MachineConfig &config) const
     // Load imbalance: the run finishes with its busiest processor.
     double imbalance = 1.0;
     if (cpus == _profile.totalCpus() && !line->cpus.empty()) {
-        double maxSamples = 0, sumSamples = 0;
+        double peakSamples = 0, sumSamples = 0;
         for (const ScopeProfile &cpu : line->cpus) {
             double s = (double)cpu.combined().samples;
-            maxSamples = std::max(maxSamples, s);
+            peakSamples = std::max(peakSamples, s);
             sumSamples += s;
         }
         if (sumSamples > 0)
-            imbalance = maxSamples /
+            imbalance = peakSamples /
                         (sumSamples / (double)line->cpus.size());
         imbalance = std::clamp(imbalance, 1.0, 4.0);
     }

@@ -9,6 +9,16 @@ namespace
 {
 
 /**
+ * Engine slack window for the pass. Zero (lock-step interleaving by
+ * local clock) is deliberate: a wide window lets each thread run
+ * long private stretches, which serializes the profiled stream and
+ * inflates shared-data reuse distances far past what any real
+ * interleaving produces. Profiling is cheap enough that fidelity
+ * wins.
+ */
+constexpr CycleDelta profileSlackWindow = 0;
+
+/**
  * The functional memory: feed the tap, complete instantly. The
  * engine still charges instruction time, so thread clocks (and
  * with them the interleaving) advance realistically.
@@ -43,7 +53,6 @@ profilerConfigFor(const MachineConfig &config,
                              config.scc.lineBytes}
                        : options.lineSizes;
     pc.sampleShift = options.sampleShift;
-    pc.maxSamples = options.maxSamples;
     return pc;
 }
 
@@ -59,7 +68,7 @@ profileWorkload(const MachineConfig &config,
 
     Arena arena(config.arenaBytes);
     EngineOptions engineOptions = config.engine;
-    engineOptions.slackWindow = options.slackWindow;
+    engineOptions.slackWindow = profileSlackWindow;
     Engine engine(&memory, &arena, engineOptions);
 
     Topology topo{config.numClusters, config.cpusPerCluster};

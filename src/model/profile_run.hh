@@ -36,24 +36,11 @@ struct ProfileRunOptions
     /** SHARDS sampling shift (rate 1/2^shift; 0 = exact). */
     std::uint32_t sampleShift = 0;
 
-    /** Stop recording histograms after this many refs (0 = all). */
-    std::uint64_t maxSamples = 0;
-
     /**
      * Line sizes to profile; empty profiles exactly the
      * configuration's scc.lineBytes.
      */
     std::vector<std::uint32_t> lineSizes;
-
-    /**
-     * Engine slack window for the pass. Zero (lock-step
-     * interleaving by local clock) is deliberate: a wide window
-     * lets each thread run long private stretches, which serializes
-     * the profiled stream and inflates shared-data reuse distances
-     * far past what any real interleaving produces. Profiling is
-     * cheap enough that fidelity wins.
-     */
-    CycleDelta slackWindow = 0;
 };
 
 /**

@@ -373,10 +373,6 @@ ReuseProfiler::onRef(CpuId cpu, RefType type, Addr addr)
     else
         ++_profile.writes;
 
-    if (_config.maxSamples && _recorded >= _config.maxSamples)
-        return;
-    ++_recorded;
-
     std::uint32_t shift = _config.sampleShift;
     std::uint64_t weight = 1ull << shift;
     int cluster = cpu / _config.cpusPerCluster;

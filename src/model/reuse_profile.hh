@@ -262,13 +262,6 @@ struct ProfilerConfig
      * and distances back up by 2^sampleShift. 0 = exact.
      */
     std::uint32_t sampleShift = 0;
-
-    /**
-     * Stop recording after this many references (0 = unbounded).
-     * The reference totals keep counting so miss-rate denominators
-     * stay honest; only the histograms freeze.
-     */
-    std::uint64_t maxSamples = 0;
 };
 
 /**
@@ -321,7 +314,6 @@ class ReuseProfiler : public RefTap
     ProfilerConfig _config;
     ReuseProfile _profile;
     std::vector<LineStacks> _stacks;
-    std::uint64_t _recorded = 0;
 };
 
 } // namespace scmp::model

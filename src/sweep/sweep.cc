@@ -208,7 +208,6 @@ SweepExecutor::execute(const DesignSpace::WorkloadFactory &factory,
                                   _options.scale));
         model::ProfileRunOptions profileOptions;
         profileOptions.sampleShift = _options.profileSampleShift;
-        profileOptions.maxSamples = _options.profileMaxSamples;
         model::ReuseProfile profile = model::profileWorkload(
             *profileConfig, *workload, profileOptions);
         _stats.profileMs = msSince(profileStart);

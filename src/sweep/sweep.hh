@@ -81,12 +81,10 @@ struct SweepOptions
     int topK = 0;
 
     /**
-     * Profiling-pass sampling knobs (analytic/hybrid): SHARDS
-     * sample shift (rate 1/2^shift, 0 = exact) and histogram
-     * recording cap (0 = unbounded). See model::ProfileRunOptions.
+     * Profiling-pass SHARDS sample shift (analytic/hybrid): rate
+     * 1/2^shift, 0 = exact. See model::ProfileRunOptions.
      */
     std::uint32_t profileSampleShift = 0;
-    std::uint64_t profileMaxSamples = 0;
 
     /** JSON-lines result store path; empty = no persistence. */
     std::string resultsPath;
