@@ -16,9 +16,9 @@
 #include "exec/arena.hh"
 #include "exec/engine.hh"
 #include "exec/fiber.hh"
-#include "mem/bus.hh"
 #include "mem/scc.hh"
 #include "mem/tag_array.hh"
+#include "net/atomic_bus.hh"
 #include "net/tree.hh"
 #include "sim/rng.hh"
 
@@ -74,7 +74,7 @@ void
 BM_SccHit(benchmark::State &state)
 {
     stats::Group root("bench");
-    SnoopyBus bus(&root, BusParams{});
+    AtomicBus bus(&root, BusParams{});
     SharedClusterCache scc(&root, 0, 2, SccParams{}, &bus);
     bus.attach(&scc);
     // Warm one line, then hit it forever.
@@ -92,7 +92,7 @@ void
 BM_SccMissStream(benchmark::State &state)
 {
     stats::Group root("bench");
-    SnoopyBus bus(&root, BusParams{});
+    AtomicBus bus(&root, BusParams{});
     SharedClusterCache scc(&root, 0, 2, SccParams{}, &bus);
     bus.attach(&scc);
     Addr addr = 0;
@@ -110,7 +110,7 @@ void
 BM_BusTransaction(benchmark::State &state)
 {
     stats::Group root("bench");
-    SnoopyBus bus(&root, BusParams{});
+    AtomicBus bus(&root, BusParams{});
     Cycle now = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(

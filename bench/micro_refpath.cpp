@@ -6,8 +6,8 @@
  * flat MSHR table against its workload, Scalar increments, and a
  * small engine+machine stream that exercises all of them together.
  * Companion to micro_primitives (which benches the primitives the
- * fast path is built from); scripts/bench_report.sh records the
- * end-to-end figure runtimes.
+ * fast path is built from); scmpbench/ measures the end-to-end
+ * workloads.
  */
 
 #include <benchmark/benchmark.h>
@@ -15,10 +15,10 @@
 #include "core/machine.hh"
 #include "exec/arena.hh"
 #include "exec/engine.hh"
-#include "mem/bus.hh"
 #include "mem/mshr_table.hh"
 #include "mem/scc.hh"
 #include "mem/tag_array.hh"
+#include "net/atomic_bus.hh"
 #include "sim/stats.hh"
 
 namespace
@@ -34,7 +34,7 @@ BM_SccSameLineHit(benchmark::State &state)
     SccParams params;
     params.fastPath = state.range(0) != 0;
     stats::Group root("bench");
-    SnoopyBus bus(&root, BusParams{});
+    AtomicBus bus(&root, BusParams{});
     SharedClusterCache scc(&root, 0, 2, params, &bus);
     bus.attach(&scc);
     scc.access(0, RefType::Read, 0x1000, 0);
@@ -56,7 +56,7 @@ BM_SccAlternatingLineHits(benchmark::State &state)
     SccParams params;
     params.fastPath = state.range(0) != 0;
     stats::Group root("bench");
-    SnoopyBus bus(&root, BusParams{});
+    AtomicBus bus(&root, BusParams{});
     SharedClusterCache scc(&root, 0, 2, params, &bus);
     bus.attach(&scc);
     const Addr lines[3] = {0x1000, 0x2000, 0x3000};
@@ -79,7 +79,7 @@ void
 BM_SccWriteModifiedHit(benchmark::State &state)
 {
     stats::Group root("bench");
-    SnoopyBus bus(&root, BusParams{});
+    AtomicBus bus(&root, BusParams{});
     SharedClusterCache scc(&root, 0, 2, SccParams{}, &bus);
     bus.attach(&scc);
     scc.access(0, RefType::Write, 0x1000, 0);

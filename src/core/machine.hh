@@ -16,10 +16,10 @@
 
 #include "core/ref_tap.hh"
 #include "exec/engine.hh"
-#include "mem/bus.hh"
 #include "mem/icache.hh"
 #include "mem/scc.hh"
 #include "mem/store_buffer.hh"
+#include "net/interconnect.hh"
 #include "obs/recorder.hh"
 #include "sim/names.hh"
 #include "sim/stats.hh"

@@ -17,9 +17,9 @@
 #ifndef SCMP_MEM_ICACHE_HH
 #define SCMP_MEM_ICACHE_HH
 
-#include "mem/bus.hh"
 #include "mem/cache_params.hh"
 #include "mem/tag_array.hh"
+#include "net/interconnect.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"

@@ -17,11 +17,11 @@
 
 #include <vector>
 
-#include "mem/bus.hh"
 #include "mem/cache_params.hh"
 #include "mem/coherence_observer.hh"
 #include "mem/mshr_table.hh"
 #include "mem/tag_array.hh"
+#include "net/interconnect.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 

@@ -76,10 +76,4 @@ AtomicBus::transaction(ClusterId source, BusOp op, Addr lineAddr,
     panic("unreachable bus op");
 }
 
-double
-AtomicBus::utilization(Cycle now) const
-{
-    return now ? (double)_busyCycles / (double)now : 0.0;
-}
-
 } // namespace scmp

@@ -7,8 +7,7 @@
  * invalidate or supply data per the MSI write-invalidate protocol.
  * Line fetches complete a fixed memoryLatency after winning the
  * bus, whether memory or a remote SCC supplies the line — the
- * paper's assumption. This is the pre-src/net SnoopyBus moved
- * behind the Interconnect interface, timing-bit-identical.
+ * paper's assumption.
  */
 
 #ifndef SCMP_NET_ATOMIC_BUS_HH
@@ -32,8 +31,6 @@ class AtomicBus : public Interconnect
 
     const char *topologyName() const override { return "atomic"; }
 
-    double utilization(Cycle now) const override;
-
     Cycle channelBusyCycles(int channel) const override
     {
         (void)channel;
@@ -45,12 +42,6 @@ class AtomicBus : public Interconnect
     Cycle _nextFree = 0;
     Cycle _busyCycles = 0;
 };
-
-/**
- * Historical name, kept so the directed bus/SCC tests and the
- * micro benches read as they always did.
- */
-using SnoopyBus = AtomicBus;
 
 } // namespace scmp
 

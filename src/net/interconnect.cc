@@ -47,7 +47,22 @@ Interconnect::Interconnect(stats::Group *parent,
 void
 Interconnect::attach(Snooper *snooper)
 {
+    panic_if(snooper->snooperId() != (ClusterId)_snoopers.size(),
+             "snooper with id ", snooper->snooperId(),
+             " attached at index ", _snoopers.size(),
+             " — snoopers must attach in id order");
     _snoopers.push_back(snooper);
+}
+
+double
+Interconnect::utilization(Cycle now) const
+{
+    if (!now)
+        return 0.0;
+    Cycle busy = 0;
+    for (int c = 0; c < numChannels(); ++c)
+        busy += channelBusyCycles(c);
+    return (double)busy / ((double)numChannels() * (double)now);
 }
 
 MemoryBackend *
@@ -86,11 +101,10 @@ Interconnect::snoopRange(std::size_t first, std::size_t last,
     SnoopOutcome outcome;
     last = std::min(last, _snoopers.size());
     for (std::size_t i = first; i < last; ++i) {
-        Snooper *snooper = _snoopers[i];
-        if (snooper->snooperId() == source)
+        if ((ClusterId)i == source)
             continue;
         ++outcome.snooped;
-        SnoopResult result = snooper->snoop(op, lineAddr, when);
+        SnoopResult result = _snoopers[i]->snoop(op, lineAddr, when);
         if (result.invalidated)
             ++invalidations;
         if (result.suppliedDirty)

@@ -59,7 +59,11 @@ class Snooper
     virtual SnoopResult snoop(BusOp op, Addr lineAddr,
                               Cycle when) = 0;
 
-    /** Identifier used to skip self-snooping. */
+    /**
+     * The source id this snooper's own transactions carry. It
+     * equals the attach index (Interconnect::attach checks once),
+     * and the fabrics skip self-snooping by that index.
+     */
     virtual ClusterId snooperId() const = 0;
 };
 
@@ -71,7 +75,10 @@ class Interconnect
                  const DramParams &dram = DramParams{});
     virtual ~Interconnect() = default;
 
-    /** Register a snooping client (an SCC). */
+    /**
+     * Register a snooping client (an SCC). The n-th snooper
+     * attached must report snooperId() n; a mismatch panics.
+     */
     void attach(Snooper *snooper);
 
     /**
@@ -114,8 +121,11 @@ class Interconnect
     /** Short topology name ("atomic", "split", "tree"). */
     virtual const char *topologyName() const = 0;
 
-    /** Fraction of cycles the fabric was occupied up to @p now. */
-    virtual double utilization(Cycle now) const = 0;
+    /**
+     * Fraction of cycles the fabric was occupied up to @p now: the
+     * busy cycles of every channel over numChannels() * @p now.
+     */
+    double utilization(Cycle now) const;
 
     /// @name Per-channel occupancy introspection.
     /// The atomic bus is one channel; the split bus exposes its
@@ -192,9 +202,8 @@ class Interconnect
 
   public:
     /// @name Statistics
-    /// Shared by every topology, constructed in this exact order so
-    /// the "bus" stats group dumps byte-identically to the
-    /// pre-refactor SnoopyBus for default (atomic) configurations.
+    /// Shared by every topology; their declaration order is the
+    /// "bus" stats group's dump order.
     /// @{
     stats::Scalar transactions;
     stats::Scalar reads;

@@ -114,12 +114,4 @@ SplitBus::transaction(ClusterId source, BusOp op, Addr lineAddr,
     return ready;
 }
 
-double
-SplitBus::utilization(Cycle now) const
-{
-    // Two channels: report mean occupancy across both.
-    return now ? (double)(_reqBusy + _respBusy) / (2.0 * (double)now)
-               : 0.0;
-}
-
 } // namespace scmp

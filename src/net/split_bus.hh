@@ -36,8 +36,6 @@ class SplitBus : public Interconnect
 
     const char *topologyName() const override { return "split"; }
 
-    double utilization(Cycle now) const override;
-
     int numChannels() const override { return 2; }
     const char *channelName(int channel) const override
     {

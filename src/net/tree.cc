@@ -341,16 +341,4 @@ HierarchicalNet::transaction(ClusterId source, BusOp op,
     panic("unreachable bus op");
 }
 
-double
-HierarchicalNet::utilization(Cycle now) const
-{
-    if (!now)
-        return 0.0;
-    Cycle busy = _rootBusy;
-    for (Cycle b : _segBusy)
-        busy += b;
-    return (double)busy /
-           ((double)(1 + _segments) * (double)now);
-}
-
 } // namespace scmp

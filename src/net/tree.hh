@@ -49,8 +49,6 @@ class HierarchicalNet : public Interconnect
 
     const char *topologyName() const override { return "tree"; }
 
-    double utilization(Cycle now) const override;
-
     int numChannels() const override { return 1 + _segments; }
     const char *channelName(int channel) const override
     {

@@ -6,7 +6,8 @@
 
 #include <gtest/gtest.h>
 
-#include "mem/bus.hh"
+#include "mem/cache_params.hh"
+#include "net/atomic_bus.hh"
 
 namespace
 {
@@ -35,7 +36,7 @@ TEST(Bus, FixedFetchLatency)
 {
     stats::Group root("t");
     BusParams params;
-    SnoopyBus bus(&root, params);
+    AtomicBus bus(&root, params);
     EXPECT_EQ(bus.transaction(0, BusOp::Read, 0x100, 7),
               7 + params.memoryLatency);
     EXPECT_EQ(bus.transaction(0, BusOp::ReadExcl, 0x200, 300),
@@ -47,7 +48,7 @@ TEST(Bus, ArbitrationSerializesUnderOccupancy)
     stats::Group root("t");
     BusParams params;
     params.transferOccupancy = 10;
-    SnoopyBus bus(&root, params);
+    AtomicBus bus(&root, params);
 
     Cycle first = bus.transaction(0, BusOp::Read, 0x100, 0);
     Cycle second = bus.transaction(1, BusOp::Read, 0x200, 0);
@@ -60,7 +61,7 @@ TEST(Bus, ArbitrationSerializesUnderOccupancy)
 TEST(Bus, SelfSnoopIsSkipped)
 {
     stats::Group root("t");
-    SnoopyBus bus(&root, BusParams{});
+    AtomicBus bus(&root, BusParams{});
     EmptySnooper mine(0);
     EmptySnooper other(1);
     bus.attach(&mine);
@@ -71,10 +72,21 @@ TEST(Bus, SelfSnoopIsSkipped)
     EXPECT_EQ(other.snoops, 1);
 }
 
+/** The fabrics skip the requester by attach index, so a snooper
+ *  whose id differs from its index is refused at attach. */
+TEST(BusDeathTest, OutOfOrderAttachPanics)
+{
+    stats::Group root("t");
+    AtomicBus bus(&root, BusParams{});
+    EmptySnooper second(1);
+    EXPECT_DEATH(bus.attach(&second),
+                 "snooper with id 1 attached at index 0");
+}
+
 TEST(Bus, TransactionKindsAreCounted)
 {
     stats::Group root("t");
-    SnoopyBus bus(&root, BusParams{});
+    AtomicBus bus(&root, BusParams{});
     bus.transaction(0, BusOp::Read, 0x100, 0);
     bus.transaction(0, BusOp::ReadExcl, 0x200, 1000);
     bus.transaction(0, BusOp::Upgrade, 0x300, 2000);
@@ -91,7 +103,7 @@ TEST(Bus, TransactionKindsAreCounted)
 TEST(Bus, UpgradeAndWritebackReturnAtGrant)
 {
     stats::Group root("t");
-    SnoopyBus bus(&root, BusParams{});
+    AtomicBus bus(&root, BusParams{});
     EXPECT_EQ(bus.transaction(0, BusOp::Upgrade, 0x100, 42), 42u);
     EXPECT_EQ(bus.transaction(0, BusOp::WriteBack, 0x200, 420),
               420u);
@@ -102,7 +114,7 @@ TEST(Bus, UtilizationIsBounded)
     stats::Group root("t");
     BusParams params;
     params.transferOccupancy = 50;
-    SnoopyBus bus(&root, params);
+    AtomicBus bus(&root, params);
     Cycle now = 0;
     for (int i = 0; i < 100; ++i)
         now = bus.transaction(0, BusOp::Read, (Addr)i * 16, now);

@@ -10,8 +10,8 @@
 #include <memory>
 #include <vector>
 
-#include "mem/bus.hh"
 #include "mem/scc.hh"
+#include "net/atomic_bus.hh"
 #include "sim/rng.hh"
 
 namespace
@@ -26,7 +26,7 @@ class CoherenceTest : public ::testing::Test
     SetUp() override
     {
         root = std::make_unique<stats::Group>("test");
-        bus = std::make_unique<SnoopyBus>(root.get(), BusParams{});
+        bus = std::make_unique<AtomicBus>(root.get(), BusParams{});
         for (ClusterId c = 0; c < 4; ++c) {
             groups.push_back(std::make_unique<stats::Group>(
                 root.get(), "cluster" + std::to_string(c)));
@@ -46,7 +46,7 @@ class CoherenceTest : public ::testing::Test
     }
 
     std::unique_ptr<stats::Group> root;
-    std::unique_ptr<SnoopyBus> bus;
+    std::unique_ptr<AtomicBus> bus;
     std::vector<std::unique_ptr<stats::Group>> groups;
     std::vector<std::unique_ptr<SharedClusterCache>> sccs;
     Cycle now = 0;
@@ -132,7 +132,7 @@ class CoherencePropertyTest
 TEST_P(CoherencePropertyTest, SingleWriterInvariant)
 {
     stats::Group root("prop");
-    SnoopyBus bus(&root, BusParams{});
+    AtomicBus bus(&root, BusParams{});
     std::vector<std::unique_ptr<stats::Group>> groups;
     std::vector<std::unique_ptr<SharedClusterCache>> sccs;
     SccParams params;

@@ -9,8 +9,8 @@
 
 #include <memory>
 
-#include "mem/bus.hh"
 #include "mem/scc.hh"
+#include "net/atomic_bus.hh"
 
 namespace
 {
@@ -24,14 +24,14 @@ class SccTest : public ::testing::Test
     SetUp() override
     {
         root = std::make_unique<stats::Group>("test");
-        bus = std::make_unique<SnoopyBus>(root.get(), BusParams{});
+        bus = std::make_unique<AtomicBus>(root.get(), BusParams{});
         scc = std::make_unique<SharedClusterCache>(
             root.get(), 0, 2, SccParams{}, bus.get());
         bus->attach(scc.get());
     }
 
     std::unique_ptr<stats::Group> root;
-    std::unique_ptr<SnoopyBus> bus;
+    std::unique_ptr<AtomicBus> bus;
     std::unique_ptr<SharedClusterCache> scc;
 };
 
@@ -183,7 +183,7 @@ TEST_F(SccTest, WriteToModifiedStaysSilent)
 TEST(SccConfig, BanksScaleWithProcessors)
 {
     stats::Group root("t");
-    SnoopyBus bus(&root, BusParams{});
+    AtomicBus bus(&root, BusParams{});
     for (int cpus : {1, 2, 4, 8}) {
         stats::Group group(&root,
                            "scc" + std::to_string(cpus));
@@ -196,7 +196,7 @@ TEST(SccConfig, BanksScaleWithProcessors)
 TEST(SccConfig, IfetchIsRejected)
 {
     stats::Group root("t");
-    SnoopyBus bus(&root, BusParams{});
+    AtomicBus bus(&root, BusParams{});
     SharedClusterCache scc(&root, 0, 1, SccParams{}, &bus);
     EXPECT_DEATH(scc.access(0, RefType::Ifetch, 0, 0),
                  "instruction fetches");

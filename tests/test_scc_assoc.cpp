@@ -8,8 +8,8 @@
 
 #include <memory>
 
-#include "mem/bus.hh"
 #include "mem/scc.hh"
+#include "net/atomic_bus.hh"
 
 namespace
 {
@@ -29,7 +29,7 @@ class SccAssocTest : public ::testing::TestWithParam<AssocCase>
     SetUp() override
     {
         root = std::make_unique<stats::Group>("t");
-        bus = std::make_unique<SnoopyBus>(root.get(), BusParams{});
+        bus = std::make_unique<AtomicBus>(root.get(), BusParams{});
         SccParams params;
         params.assoc = GetParam().ways;
         params.sizeBytes = GetParam().size;
@@ -39,7 +39,7 @@ class SccAssocTest : public ::testing::TestWithParam<AssocCase>
     }
 
     std::unique_ptr<stats::Group> root;
-    std::unique_ptr<SnoopyBus> bus;
+    std::unique_ptr<AtomicBus> bus;
     std::unique_ptr<SharedClusterCache> scc;
 };
 
@@ -83,10 +83,12 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(SccAssoc, TwoWayRemovesPingPongConflict)
 {
     stats::Group root("t");
-    SnoopyBus bus(&root, BusParams{});
 
+    // Each run gets its own bus: a bus keeps its snoopers' pointers,
+    // and each cache here dies with its run.
     auto missesFor = [&](std::uint32_t ways) {
         stats::Group group(&root, "scc" + std::to_string(ways));
+        AtomicBus bus(&group, BusParams{});
         SccParams params;
         params.assoc = ways;
         params.sizeBytes = 8 << 10;
