@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 
+#include "sim/config.hh"
 #include "sim/logging.hh"
 
 namespace scmp::check
@@ -19,10 +20,7 @@ envCheckRequested()
 std::uint64_t
 envWalkInterval(std::uint64_t def)
 {
-    const char *value = std::getenv("SCMP_CHECK_WALK");
-    if (!value || !*value)
-        return def;
-    return std::strtoull(value, nullptr, 10);
+    return Config::envSize("SCMP_CHECK_WALK").value_or(def);
 }
 
 CoherenceChecker::CoherenceChecker(

@@ -49,7 +49,10 @@ struct CheckerOptions
 /** True when the SCMP_CHECK environment variable requests checking. */
 bool envCheckRequested();
 
-/** walkInterval from SCMP_CHECK_WALK, or @p def when unset. */
+/**
+ * walkInterval from SCMP_CHECK_WALK (a size such as 4096 or 4K), or
+ * @p def when unset; a malformed value is fatal.
+ */
 std::uint64_t envWalkInterval(std::uint64_t def);
 
 /** The observer implementation the memory system reports into. */

@@ -283,30 +283,22 @@ applyEnv(RecorderConfig &config)
             config.tracePath = "scmp_trace.json";
     }
 
-    if (const char *text = std::getenv("SCMP_OBS_INTERVAL")) {
-        bool ok = false;
-        std::uint64_t cycles = Config::parseSize(text, &ok);
-        if (ok)
-            config.intervalCycles = cycles;
-        else
-            warn("obs: bad SCMP_OBS_INTERVAL '", text, "'");
+    if (auto cycles = Config::envSize("SCMP_OBS_INTERVAL"))
+        config.intervalCycles = *cycles;
+
+    // Like --obs-series, a series path on its own turns the
+    // recorder on.
+    const char *path = std::getenv("SCMP_OBS_SERIES");
+    if (path && *path) {
+        config.enabled = true;
+        config.seriesPath = path;
+        if (config.intervalCycles == 0)
+            config.intervalCycles = defaultObsInterval;
     }
 
-    if (const char *path = std::getenv("SCMP_OBS_SERIES")) {
-        if (*path) {
-            config.seriesPath = path;
-            if (config.intervalCycles == 0)
-                config.intervalCycles = defaultObsInterval;
-        }
-    }
-
-    if (const char *text = std::getenv("SCMP_OBS_CAP")) {
-        bool ok = false;
-        std::uint64_t cap = Config::parseSize(text, &ok);
-        if (ok && cap > 0)
-            config.eventCap = cap;
-        else
-            warn("obs: bad SCMP_OBS_CAP '", text, "'");
+    if (auto cap = Config::envSize("SCMP_OBS_CAP")) {
+        fatal_if(*cap == 0, "SCMP_OBS_CAP must be at least 1");
+        config.eventCap = (std::size_t)*cap;
     }
 }
 

@@ -255,6 +255,7 @@ bool envObsRequested();
  * Overlay SCMP_OBS / SCMP_OBS_INTERVAL / SCMP_OBS_SERIES /
  * SCMP_OBS_CAP onto @p config. SCMP_OBS=1 enables with defaults;
  * any other non-empty value is used as the trace path.
+ * SCMP_OBS_SERIES alone enables too. A malformed size is fatal.
  */
 void applyEnv(RecorderConfig &config);
 /// @}

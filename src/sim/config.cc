@@ -242,4 +242,16 @@ Config::parseSize(const std::string &text, bool *ok)
     return v * mult;
 }
 
+std::optional<std::uint64_t>
+Config::envSize(const char *var)
+{
+    const char *text = std::getenv(var);
+    if (!text || !*text)
+        return std::nullopt;
+    bool ok = false;
+    std::uint64_t v = parseSize(text, &ok);
+    fatal_if(!ok, var, ": cannot parse size from '", text, "'");
+    return v;
+}
+
 } // namespace scmp

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <type_traits>
@@ -118,6 +119,13 @@ class Config
      */
     static std::uint64_t parseSize(const std::string &text,
                                    bool *ok = nullptr);
+
+    /**
+     * A size from environment variable @p var, in parseSize()'s
+     * syntax; nullopt when it is unset or empty. A value parseSize()
+     * rejects is a fatal user error naming the variable.
+     */
+    static std::optional<std::uint64_t> envSize(const char *var);
 
   private:
     [[noreturn]] static void rejectValue(const std::string &key,

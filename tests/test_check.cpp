@@ -298,6 +298,30 @@ TEST(CheckedFuzz, EnvironmentVariableAttachesChecker)
     unsetenv("SCMP_CHECK");
 }
 
+TEST(CheckedFuzz, WalkIntervalReadsASize)
+{
+    unsetenv("SCMP_CHECK_WALK");
+    EXPECT_EQ(envWalkInterval(7), 7u);
+    setenv("SCMP_CHECK_WALK", "4k", 1);  // used to read as 4
+    EXPECT_EQ(envWalkInterval(7), 4096u);
+    setenv("SCMP_CHECK_WALK", "0", 1);   // a walk per transaction
+    EXPECT_EQ(envWalkInterval(7), 0u);
+    unsetenv("SCMP_CHECK_WALK");
+}
+
+/** A malformed walk interval used to read as 0 — a full tag walk
+ *  after every transaction. It now stops the run, naming it. */
+TEST(CheckedFuzzDeathTest, MalformedWalkIntervalIsFatal)
+{
+    MachineConfig config;
+    setenv("SCMP_CHECK", "1", 1);
+    setenv("SCMP_CHECK_WALK", "abc", 1);
+    EXPECT_EXIT(Machine{config}, ::testing::ExitedWithCode(1),
+                "SCMP_CHECK_WALK: cannot parse size from 'abc'");
+    unsetenv("SCMP_CHECK_WALK");
+    unsetenv("SCMP_CHECK");
+}
+
 TEST(CheckedFuzz, CheckerObservesWithoutPerturbing)
 {
     // The checker must be purely observational: a checked and an

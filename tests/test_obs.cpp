@@ -391,12 +391,50 @@ TEST(Recorder, EnvAttachMirrorsScmpCheck)
     obs::applyEnv(config);
     EXPECT_FALSE(config.enabled);
 
+    // A series path on its own turns the recorder on, as
+    // --obs-series does, sampling at the default interval.
+    config = obs::RecorderConfig{};
+    ::unsetenv("SCMP_OBS");
+    ::unsetenv("SCMP_OBS_INTERVAL");
+    ::unsetenv("SCMP_OBS_CAP");
+    ::setenv("SCMP_OBS_SERIES", "s.csv", 1);
+    obs::applyEnv(config);
+    EXPECT_TRUE(config.enabled);
+    EXPECT_EQ(config.seriesPath, "s.csv");
+    EXPECT_TRUE(config.tracePath.empty());
+    EXPECT_EQ(config.intervalCycles, obs::defaultObsInterval);
+
     // Leave no trace for the rest of the test binary (the Machine
     // constructor consults these).
     ::unsetenv("SCMP_OBS");
     ::unsetenv("SCMP_OBS_INTERVAL");
     ::unsetenv("SCMP_OBS_SERIES");
     ::unsetenv("SCMP_OBS_CAP");
+}
+
+/** A malformed size in the environment stops the run, naming the
+ *  variable, instead of warning and running without it. */
+TEST(RecorderDeathTest, MalformedEnvSizesAreFatal)
+{
+    struct Case
+    {
+        const char *var;
+        const char *value;
+        const char *message;
+    };
+    for (const Case &c :
+         {Case{"SCMP_OBS_INTERVAL", "abc",
+               "SCMP_OBS_INTERVAL: cannot parse size from 'abc'"},
+          Case{"SCMP_OBS_CAP", "12q",
+               "SCMP_OBS_CAP: cannot parse size from '12q'"},
+          Case{"SCMP_OBS_CAP", "0", "SCMP_OBS_CAP must be at least 1"}}) {
+        ::setenv(c.var, c.value, 1);
+        obs::RecorderConfig config;
+        EXPECT_EXIT(obs::applyEnv(config), ::testing::ExitedWithCode(1),
+                    c.message)
+            << c.var << "=" << c.value;
+        ::unsetenv(c.var);
+    }
 }
 
 } // namespace
