@@ -10,8 +10,7 @@
  *     release build delivers on slow hardware) — it exists to catch
  *     catastrophic regressions like an accidental O(n) scan per
  *     reference or a debug-only code path leaking into the build,
- *     not to benchmark. scripts/bench_report.sh does the real
- *     measuring.
+ *     not to benchmark. scmpbench/ does the real measuring.
  *
  *  2. Golden equality: the same stream with the fast path disabled
  *     must produce a byte-identical statistics dump — the fast
