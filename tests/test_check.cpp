@@ -302,15 +302,15 @@ TEST(CheckedFuzz, WalkIntervalReadsASize)
 {
     unsetenv("SCMP_CHECK_WALK");
     EXPECT_EQ(envWalkInterval(7), 7u);
-    setenv("SCMP_CHECK_WALK", "4k", 1);  // used to read as 4
+    setenv("SCMP_CHECK_WALK", "4k", 1);  // a size, not the digit 4
     EXPECT_EQ(envWalkInterval(7), 4096u);
     setenv("SCMP_CHECK_WALK", "0", 1);   // a walk per transaction
     EXPECT_EQ(envWalkInterval(7), 0u);
     unsetenv("SCMP_CHECK_WALK");
 }
 
-/** A malformed walk interval used to read as 0 — a full tag walk
- *  after every transaction. It now stops the run, naming it. */
+/** A malformed walk interval stops the run, naming the variable:
+ *  read as 0 it would mean a full tag walk after every transaction. */
 TEST(CheckedFuzzDeathTest, MalformedWalkIntervalIsFatal)
 {
     MachineConfig config;

@@ -413,7 +413,7 @@ TEST(Recorder, EnvAttachMirrorsScmpCheck)
 }
 
 /** A malformed size in the environment stops the run, naming the
- *  variable, instead of warning and running without it. */
+ *  variable, rather than running without it. */
 TEST(RecorderDeathTest, MalformedEnvSizesAreFatal)
 {
     struct Case
