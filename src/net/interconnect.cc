@@ -100,6 +100,14 @@ Interconnect::snoopRange(std::size_t first, std::size_t last,
 {
     SnoopOutcome outcome;
     last = std::min(last, _snoopers.size());
+    if (op == BusOp::WriteBack) {
+        // A written-back line was Modified, so no snooper holds a
+        // copy, and snoop() does nothing for a writeback: count the
+        // fan-out without probing anyone.
+        for (std::size_t i = first; i < last; ++i)
+            outcome.snooped += (ClusterId)i != source;
+        return outcome;
+    }
     for (std::size_t i = first; i < last; ++i) {
         if ((ClusterId)i == source)
             continue;

@@ -51,7 +51,9 @@ class Snooper
     virtual ~Snooper() = default;
 
     /**
-     * React to another client's transaction.
+     * React to another client's transaction. Writebacks are not
+     * broadcast: the line was Modified, so no other client holds
+     * it, and memory absorbs the data.
      * @param op       The transaction kind.
      * @param lineAddr Line-aligned address.
      * @param when     Bus-grant cycle of the transaction.
@@ -178,7 +180,8 @@ class Interconnect
      * Probe attached snoopers with index in [first, last), skipping
      * @p source, counting invalidations into the stats. The atomic
      * and split buses broadcast over the full range; the tree probes
-     * one segment's sub-range at a time.
+     * one segment's sub-range at a time. A writeback probes nobody
+     * but reports the same fan-out in SnoopOutcome::snooped.
      */
     SnoopOutcome snoopRange(std::size_t first, std::size_t last,
                             ClusterId source, BusOp op,

@@ -14,6 +14,7 @@
 #include "check/checker.hh"
 #include "core/machine.hh"
 #include "net/interconnect.hh"
+#include "obs/recorder.hh"
 #include "net/split_bus.hh"
 #include "net/tree.hh"
 #include "sim/rng.hh"
@@ -708,6 +709,56 @@ TEST(Net, FactorySelectsTopology)
     auto tree =
         makeInterconnect(&root3, BusParams{}, net, DramParams{}, 4);
     EXPECT_STREQ(tree->topologyName(), "tree");
+}
+
+TEST(Net, WriteBackProbesNoSnooperOnAnyFabric)
+{
+    // A written-back line was Modified, so no peer holds it: every
+    // fabric skips the probes but reports the fan-out it always
+    // did (all other caches on a bus, the requester's segment
+    // peers on the tree). Even snoopers claiming a copy are not
+    // asked.
+    const struct
+    {
+        NetTopology topology;
+        std::uint32_t fanout;
+    } cases[] = {
+        {NetTopology::Atomic, 3},
+        {NetTopology::Split, 3},
+        {NetTopology::Tree, 1},
+    };
+    for (const auto &c : cases) {
+        stats::Group root("t");
+        NetParams net;
+        net.topology = c.topology;
+        net.segments = 2;
+        auto fabric =
+            makeInterconnect(&root, BusParams{}, net, DramParams{}, 4);
+        std::vector<RecordingSnooper> caches;
+        caches.reserve(4);
+        for (int i = 0; i < 4; ++i) {
+            caches.emplace_back(i, nullptr);
+            caches.back().hadCopy = true;
+        }
+        for (auto &cache : caches)
+            fabric->attach(&cache);
+        obs::RecorderConfig config;
+        config.enabled = true;
+        obs::Recorder recorder(config);
+        recorder.seal();
+        fabric->setRecorder(&recorder);
+
+        fabric->transaction(1, BusOp::WriteBack, 0x100, 10);
+        for (const auto &cache : caches)
+            EXPECT_EQ(cache.snoops, 0) << fabric->topologyName();
+        std::uint32_t fanout = 0;
+        for (const obs::Event &event :
+             recorder.ring(obs::Source::Bus).events()) {
+            if (event.kind == obs::EventKind::SnoopFanout)
+                fanout = event.arg;
+        }
+        EXPECT_EQ(fanout, c.fanout) << fabric->topologyName();
+    }
 }
 
 TEST(Net, ParseNamesRoundTrip)
