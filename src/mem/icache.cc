@@ -10,6 +10,7 @@ ICache::ICache(stats::Group *parent, const std::string &name,
                Interconnect *bus)
     : _params(params), _cluster(cluster), _bus(bus),
       _tags(params.sizeBytes, params.lineBytes, 1),
+      _lineShift(floorLog2(params.lineBytes)),
       statsGroup(parent, name),
       fetches(&statsGroup, "fetches", "instruction line lookups"),
       misses(&statsGroup, "misses", "instruction cache misses"),
@@ -59,7 +60,6 @@ ICache::fetch(std::uint32_t instrs, Cycle now)
 
     std::uint64_t bytes =
         (std::uint64_t)instrs * _params.bytesPerInstr;
-    std::uint64_t line = _params.lineBytes;
     Cycle stall = 0;
 
     while (bytes > 0) {
@@ -69,11 +69,12 @@ ICache::fetch(std::uint32_t instrs, Cycle now)
         // Fetch up to the end of the current loop pass.
         std::uint64_t chunk =
             std::min(bytes, _loopBytes - _loopOffset);
-        std::uint64_t firstLine = (_loopBase + _loopOffset) / line;
+        std::uint64_t firstLine =
+            (_loopBase + _loopOffset) >> _lineShift;
         std::uint64_t lastLine =
-            (_loopBase + _loopOffset + chunk - 1) / line;
+            (_loopBase + _loopOffset + chunk - 1) >> _lineShift;
         for (std::uint64_t l = firstLine; l <= lastLine; ++l) {
-            Addr addr = _codeBase + l * line;
+            Addr addr = _codeBase + (l << _lineShift);
             ++fetches;
             if (!_tags.lookup(addr)) {
                 ++misses;

@@ -76,6 +76,7 @@ class ICache
     ClusterId _cluster;
     Interconnect *_bus;
     TagArray _tags;
+    int _lineShift;  //!< log2 of the line size
     Addr _codeBase = 0;
     std::uint64_t _footprint = 0;
     Rng _rng;
