@@ -57,8 +57,7 @@ def ledger(trace):
     print("== recording ledger ==")
     print(f"recorded {scmp['recorded']} events;"
           f" mshr allocs {scmp.get('mshr_allocs', 0)},"
-          f" merges {scmp.get('mshr_merges', 0)};"
-          f" fast-path refs {scmp.get('fast_refs', 0)}")
+          f" merges {scmp.get('mshr_merges', 0)}")
     drops = {k: v for k, v in scmp.get("dropped", {}).items() if v}
     if drops:
         print(f"DROPPED (raise --obs cap / SCMP_OBS_CAP): {drops}")

@@ -162,7 +162,7 @@ constexpr DesignField table[] = {
 #undef MEMBER
 
 constexpr const char *instrumentation[] = {
-    "scc.fastPath", "checkCoherence", "checkWalkInterval", "obs", "refTap",
+    "checkCoherence", "checkWalkInterval", "obs", "refTap",
 };
 
 } // namespace

@@ -331,7 +331,6 @@ Machine::enableObs()
     // Recorder-internal gauges/counters: these stay out of the
     // stats:: tree on purpose so attaching observability can never
     // change a stats dump.
-    r->addCounter("fastRefs", [r] { return r->fastRefs(); });
     r->addGauge("mshrLive", [r] { return r->mshrLive(); });
     r->seal();
 

@@ -81,16 +81,6 @@ struct SccParams
      * (see core/design_fields.hh).
      */
     SecParams sec;
-
-    /**
-     * Enable the same-line reference filter (the hot-path fast
-     * path). Provably bit-identical timing and statistics; the
-     * switch exists so tests can prove that equivalence by running
-     * both ways. Like checkCoherence, it is NOT part of the design
-     * point's identity: core/design_fields.hh lists it as
-     * instrumentation, never hashed into sweep keys.
-     */
-    bool fastPath = true;
 };
 
 // BusParams (the paper's fixed bus timing) moved to

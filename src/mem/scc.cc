@@ -17,6 +17,9 @@ SharedClusterCache::SharedClusterCache(stats::Group *parent,
       _tags(params.sizeBytes, params.lineBytes, params.assoc,
             params.sec),
       _bankNextFree((std::size_t)numCpus * params.banksPerCpu, 0),
+      _lineShift(floorLog2(params.lineBytes)),
+      _banksPow2(isPowerOf2(_bankNextFree.size())),
+      _bankMask(_bankNextFree.size() - 1),
       statsGroup(parent, "scc"),
       readHits(&statsGroup, "readHits", "read hits"),
       readMisses(&statsGroup, "readMisses", "read misses"),
@@ -45,21 +48,12 @@ SharedClusterCache::SharedClusterCache(stats::Group *parent,
 {
     panic_if(numCpus <= 0, "SCC needs at least one processor");
     panic_if(!bus, "SCC needs a bus");
-    _filters.resize((std::size_t)numCpus);
     _domainByPort.assign((std::size_t)numCpus, 0);
     if (params.sec.mode != IsolationMode::None) {
         for (int cpu = 0; cpu < numCpus; ++cpu)
             _domainByPort[(std::size_t)cpu] =
                 cpu % params.sec.domains;
     }
-}
-
-BankId
-SharedClusterCache::bankOf(Addr addr) const
-{
-    // Consecutive lines live in consecutive banks.
-    return (BankId)((addr / _params.lineBytes) %
-                    _bankNextFree.size());
 }
 
 CoherenceState
@@ -92,40 +86,6 @@ SharedClusterCache::access(int localCpu, RefType type, Addr addr,
     panic_if(type == RefType::Ifetch,
              "instruction fetches do not reach the SCC");
 
-    Addr lineAddr = _tags.lineAddr(addr);
-    FilterSet &filter = _filters[(std::size_t)localCpu];
-
-    // Fast path: one of this port's recent references hit this line
-    // and nothing that could divert the outcome — a fill, an
-    // eviction, an MSHR allocation (epoch check) or a snoop
-    // invalidate/demote (state check) — happened since. Replay the
-    // hit path's exact side effects and return.
-    for (const RefFilter &f : filter.entry) {
-        if (f.lineAddr != lineAddr || f.fillEpoch != _fillEpoch)
-            continue;
-        CoherenceState state = f.line->state;
-        bool hit = type == RefType::Read
-                       ? state != CoherenceState::Invalid
-                       : state == CoherenceState::Modified;
-        if (hit) {
-            Cycle &fastBankFree = _bankNextFree[f.bank];
-            Cycle start = std::max(now, fastBankFree);
-            bankConflictCycles += start - now;
-            fastBankFree = start + _params.bankOccupancy;
-            _tags.touch(f.line);
-            if (type == RefType::Read)
-                ++readHits;
-            else
-                ++writeHits;
-            if (_recorder)
-                _recorder->sccPortRef(
-                    _cluster, localCpu, refTypeName(type), addr,
-                    now, start + _params.bankOccupancy, true);
-            return start;
-        }
-        break;  // armed but the state no longer permits the hit
-    }
-
     // Bank arbitration: wait for the serving bank to free up.
     Cycle &bankFree = _bankNextFree[(std::size_t)bankOf(addr)];
     Cycle start = std::max(now, bankFree);
@@ -134,20 +94,23 @@ SharedClusterCache::access(int localCpu, RefType type, Addr addr,
     if (_recorder)
         _recorder->sccPortRef(_cluster, localCpu,
                               refTypeName(type), addr, now,
-                              bankFree, false);
+                              bankFree);
 
-    // Merge with an outstanding fill for this line, if any.
-    if (Cycle *mshr = _mshrs.find(lineAddr)) {
-        if (start < *mshr) {
+    // One probe answers both questions: is the line resident, and
+    // is its fill still outstanding (the MSHR lives in the line)?
+    Addr lineAddr = _tags.lineAddr(addr);
+    CacheLine *line = _tags.probe(addr);
+    if (line && line->readyAt) {
+        Cycle ready = line->readyAt;
+        if (start < ready) {
+            // Merge with the outstanding fill.
             ++mergedMisses;
-            Cycle ready = *mshr;
             if (_recorder)
                 _recorder->mshrMerge(_cluster, lineAddr, start);
             missStallCycles += ready - start;
             // A write joining a read fill still needs to inform
             // the other caches (exclusivity or an update).
-            CacheLine *line = _tags.probe(lineAddr);
-            if (type == RefType::Write && line &&
+            if (type == RefType::Write &&
                 line->state == CoherenceState::Shared) {
                 if (_params.protocol ==
                     CoherenceProtocol::WriteUpdate) {
@@ -166,19 +129,15 @@ SharedClusterCache::access(int localCpu, RefType type, Addr addr,
             }
             return ready;
         }
-        // The fill completed in the past; the entry retires lazily
+        // The fill completed in the past; the MSHR retires lazily
         // here, at the first reference to find it expired.
-        Cycle expired = *mshr;
-        _mshrs.erase(lineAddr);
+        line->readyAt = 0;
         if (_recorder)
-            _recorder->mshrRetire(_cluster, lineAddr, expired);
+            _recorder->mshrRetire(_cluster, lineAddr, ready);
     }
 
-    CacheLine *line = _tags.lookup(addr);
-
     if (line) {
-        if (_params.fastPath)
-            armFilter(filter, line, lineAddr);
+        _tags.touch(line);
         if (type == RefType::Read) {
             ++readHits;
             return start;
@@ -242,7 +201,7 @@ SharedClusterCache::rekeyFlush(Cycle now)
     _tags.forEachLine([&](CacheLine &line) {
         if (!line.valid())
             return;
-        if (_mshrs.erase(line.tag) && _recorder)
+        if (line.readyAt && _recorder)
             _recorder->mshrRetire(_cluster, line.tag, now);
         bool dirty = line.state == CoherenceState::Modified;
         if (dirty) {
@@ -255,14 +214,8 @@ SharedClusterCache::rekeyFlush(Cycle now)
                 _observer->onDirtyFlush(_cluster, line.tag);
             _observer->onEvict(_cluster, line.tag, dirty);
         }
-        line.state = CoherenceState::Invalid;
-        line.tag = invalidAddr;
-        line.lruStamp = 0;
-        line.domain = 0;
+        TagArray::invalidate(&line);
     });
-    for (FilterSet &set : _filters)
-        set = FilterSet{};
-    ++_fillEpoch;
     _tags.rekey();
     _fillsSinceRekey = 0;
     ++rekeyFlushes;
@@ -283,17 +236,15 @@ SharedClusterCache::handleMiss(RefType type, Addr lineAddr,
         rekeyFlush(now);
     ++_fillsSinceRekey;
 
-    // Every fill moves a tag and allocates an MSHR; advancing the
-    // epoch here is what lets the reference filters prove, with one
-    // compare, that neither has happened since they were armed.
-    ++_fillEpoch;
-
     // Evict the victim; write back dirty data (buffered, so the
     // requester does not wait on it beyond bus occupancy).
     CacheLine *victim = _tags.victim(lineAddr, domain);
     if (victim->valid()) {
-        if (_mshrs.erase(victim->tag) && _recorder)
+        // The victim's MSHR leaves now, before the bus transactions
+        // below can snoop the victim again.
+        if (victim->readyAt && _recorder)
             _recorder->mshrRetire(_cluster, victim->tag, now);
+        victim->readyAt = 0;
         if (victim->state == CoherenceState::Modified) {
             ++writeBacks;
             _bus->transaction(_cluster, BusOp::WriteBack, victim->tag,
@@ -336,9 +287,9 @@ SharedClusterCache::handleMiss(RefType type, Addr lineAddr,
         _observer->onEvict(_cluster, victim->tag, dirty);
     }
     _tags.fill(victim, lineAddr, fillState, domain);
+    victim->readyAt = ready;
     if (_observer)
         _observer->onFill(_cluster, lineAddr, fillState);
-    _mshrs.set(lineAddr, ready);
     if (_recorder)
         _recorder->mshrAlloc(_cluster, lineAddr, now, ready);
     return ready;
@@ -379,10 +330,9 @@ SharedClusterCache::snoop(BusOp op, Addr lineAddr, Cycle when)
             if (_observer)
                 _observer->onDirtyFlush(_cluster, lineAddr);
         }
-        _tags.invalidate(lineAddr);
-        if (_mshrs.erase(lineAddr) && _recorder)
+        if (line->readyAt && _recorder)
             _recorder->mshrRetire(_cluster, lineAddr, when);
-        flushFilters(lineAddr);
+        TagArray::invalidate(line);
         if (_observer)
             _observer->onInvalidate(_cluster, lineAddr);
         result.invalidated = true;
@@ -397,16 +347,13 @@ SharedClusterCache::snoop(BusOp op, Addr lineAddr, Cycle when)
         // defensively if the protocols were mixed.
         if (line->state == CoherenceState::Modified)
             line->state = CoherenceState::Shared;
-        // The copy survives, but a filtered write may no longer
-        // treat it as exclusively held — drop the armed filters
-        // and let the next reference re-prove the hit.
-        flushFilters(lineAddr);
         if (_observer)
             _observer->onUpdateAbsorbed(_cluster, lineAddr);
         ++updatesReceived;
         break;
       case BusOp::WriteBack:
-        // Memory absorbs writebacks; nothing for peers to do.
+        // Never broadcast: memory absorbs writebacks, and the
+        // fabrics probe no peer for them.
         break;
     }
     return result;

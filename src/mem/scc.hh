@@ -9,17 +9,20 @@
  * Outstanding misses are tracked in an MSHR file, so a second
  * processor referencing an in-flight line merges with the existing
  * miss instead of issuing a new bus transaction — the mechanism
- * behind the paper's inter-processor prefetching effect.
+ * behind the paper's inter-processor prefetching effect. The MSHR
+ * file is kept in the tag array (CacheLine::readyAt): a fill
+ * allocates the line it is fetching, so every outstanding miss has
+ * a resident line, and one tag probe answers both questions.
  */
 
 #ifndef SCMP_MEM_SCC_HH
 #define SCMP_MEM_SCC_HH
 
+#include <cstdint>
 #include <vector>
 
 #include "mem/cache_params.hh"
 #include "mem/coherence_observer.hh"
-#include "mem/mshr_table.hh"
 #include "mem/tag_array.hh"
 #include "net/interconnect.hh"
 #include "sim/stats.hh"
@@ -71,8 +74,8 @@ class SharedClusterCache : public Snooper
 
     /**
      * Attach an observability recorder (src/obs). Port references
-     * and MSHR lifecycle events are reported when attached; the
-     * reference fast path pays exactly one branch when not.
+     * and MSHR lifecycle events are reported when attached; a
+     * reference pays exactly one branch when not.
      */
     void setRecorder(obs::Recorder *recorder)
     {
@@ -82,8 +85,18 @@ class SharedClusterCache : public Snooper
     /** Coherence state of the line containing @p addr (tests). */
     CoherenceState stateOf(Addr addr) const;
 
-    /** Bank index serving @p addr (tests: line interleaving). */
-    BankId bankOf(Addr addr) const;
+    /**
+     * Bank index serving @p addr: consecutive lines live in
+     * consecutive banks. A mask when the bank count is a power of
+     * two (every configuration the paper studies), else a modulo.
+     */
+    BankId
+    bankOf(Addr addr) const
+    {
+        std::uint64_t line = addr >> _lineShift;
+        return (BankId)(_banksPow2 ? line & _bankMask
+                                   : line % _bankNextFree.size());
+    }
 
     int numBanks() const { return (int)_bankNextFree.size(); }
     const SccParams &params() const { return _params; }
@@ -102,83 +115,11 @@ class SharedClusterCache : public Snooper
 
     /**
      * Rand-isolation epoch turn: write back and drop every resident
-     * line, clear the filters and MSHRs, and re-derive the tag
-     * array's per-domain index keys. Deterministic — triggered by
-     * fill counts, never by wall time.
+     * line with its MSHR, and re-derive the tag array's per-domain
+     * index keys. Deterministic — triggered by fill counts, never by
+     * wall time.
      */
     void rekeyFlush(Cycle now);
-
-    /**
-     * One processor port's last-hit filter — the reference fast
-     * path. Armed on a plain hit; a repeat reference to the same
-     * line replays exactly the hit path's side effects (bank
-     * arbitration, LRU touch, one stat increment) without the MSHR
-     * probe or the tag walk.
-     *
-     * Validity is re-proven on every use rather than trusted:
-     *   - fillEpoch must equal _fillEpoch. handleMiss() is the only
-     *     place an MSHR entry is created or a tag moves (fill or
-     *     eviction), and it bumps the epoch — so an epoch match
-     *     means no MSHR entry can exist for the armed line and the
-     *     armed CacheLine pointer still holds that line.
-     *   - the live coherence state must still permit the hit: any
-     *     valid state for a read, Modified for a write. Remote
-     *     snoops that invalidate or demote the line are caught
-     *     here (and flushFilters() clears matching filters
-     *     outright when a snoop lands).
-     */
-    struct RefFilter
-    {
-        CacheLine *line = nullptr;
-        Addr lineAddr = invalidAddr;
-        std::size_t bank = 0;
-        std::uint64_t fillEpoch = 0;
-    };
-
-    /**
-     * Each port keeps a handful of armed lines, round-robin
-     * replaced — workloads ping-pong between a few hot lines (an
-     * object's fields, a stack slot, a lock word) and a single
-     * entry would thrash. Entries are independent: each one's
-     * validity is re-proven at use by the epoch + state checks.
-     */
-    struct FilterSet
-    {
-        static constexpr int entries = 4;
-        RefFilter entry[entries];
-        unsigned victim = 0;
-    };
-
-    /** Arm an entry of @p set after a plain hit on @p line. */
-    void
-    armFilter(FilterSet &set, CacheLine *line, Addr lineAddr)
-    {
-        RefFilter *slot = &set.entry[set.victim];
-        for (RefFilter &f : set.entry) {
-            if (f.lineAddr == lineAddr) {
-                slot = &f;  // refresh in place, keep the others
-                break;
-            }
-        }
-        if (slot == &set.entry[set.victim])
-            set.victim = (set.victim + 1) % FilterSet::entries;
-        slot->line = line;
-        slot->lineAddr = lineAddr;
-        slot->bank = (std::size_t)bankOf(lineAddr);
-        slot->fillEpoch = _fillEpoch;
-    }
-
-    /** Drop every filter armed on @p lineAddr (snoop landed). */
-    void
-    flushFilters(Addr lineAddr)
-    {
-        for (FilterSet &set : _filters) {
-            for (RefFilter &f : set.entry) {
-                if (f.lineAddr == lineAddr)
-                    f = RefFilter{};
-            }
-        }
-    }
 
     ClusterId _cluster;
     SccParams _params;
@@ -188,14 +129,12 @@ class SharedClusterCache : public Snooper
     TagArray _tags;
     std::vector<Cycle> _bankNextFree;
 
-    /** In-flight fills: line address → completion cycle. */
-    MshrTable _mshrs;
-
-    /** Per-port reference filters (index = localCpu). */
-    std::vector<FilterSet> _filters;
-
-    /** Bumped by every handleMiss (fill/evict/MSHR-allocate). */
-    std::uint64_t _fillEpoch = 0;
+    /// @name Bank decode (bankOf).
+    /// @{
+    int _lineShift;           //!< log2 of the line size
+    bool _banksPow2;          //!< bank count is a power of two
+    std::uint64_t _bankMask;  //!< bank count - 1
+    /// @}
 
     /**
      * Security domain of each local processor (localCpu % domains;

@@ -34,7 +34,6 @@ TagArray::TagArray(std::uint64_t sizeBytes, std::uint32_t lineBytes,
     _lineMask = ~(Addr)(lineBytes - 1);
     _setMask = _numSets - 1;
     _lines.resize(_numSets * assoc);
-    _mruWay.assign(_numSets, 0);
 
     if (isolated()) {
         fatal_if(_sec.domains < 2,
@@ -130,20 +129,10 @@ TagArray::probe(Addr addr) const
         return nullptr;
     }
 
-    std::uint64_t set = setIndex(addr);
-    const CacheLine *base = &_lines[set * _assoc];
-
-    // The most-recently-hit way first: on the dominant repeat-hit
-    // pattern this is the only compare executed.
-    std::uint32_t mru = _mruWay[set];
-    if (base[mru].tag == tag && base[mru].valid())
-        return &base[mru];
-
+    const CacheLine *base = &_lines[setIndex(addr) * _assoc];
     for (std::uint32_t way = 0; way < _assoc; ++way) {
-        if (way != mru && base[way].valid() && base[way].tag == tag) {
-            _mruWay[set] = way;
+        if (base[way].tag == tag && base[way].valid())
             return &base[way];
-        }
     }
     return nullptr;
 }
@@ -196,9 +185,8 @@ TagArray::fill(CacheLine *line, Addr addr, CoherenceState state,
     line->tag = lineAddr(addr);
     line->state = state;
     line->lruStamp = ++_stampCounter;
+    line->readyAt = 0;
     line->domain = (std::uint16_t)domain;
-    std::uint64_t idx = (std::uint64_t)(line - _lines.data());
-    _mruWay[idx / _assoc] = (std::uint32_t)(idx % _assoc);
 }
 
 bool
@@ -207,14 +195,11 @@ TagArray::invalidate(Addr addr)
     CacheLine *line = probe(addr);
     if (!line)
         return false;
-    line->state = CoherenceState::Invalid;
-    line->tag = invalidAddr;
-    // Clear the recency stamp too: an invalid way must not carry a
+    // The recency stamp goes too: an invalid way must not carry a
     // stale stamp into its next tenancy (fill() re-stamps, but any
     // path that inspects stamps between invalidate and refill would
     // otherwise see a recency the way no longer has).
-    line->lruStamp = 0;
-    line->domain = 0;
+    invalidate(line);
     return true;
 }
 

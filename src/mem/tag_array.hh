@@ -31,14 +31,26 @@ namespace scmp
 struct CacheLine
 {
     Addr tag = invalidAddr;
-    CoherenceState state = CoherenceState::Invalid;
     std::uint64_t lruStamp = 0;
+
+    /**
+     * Cycle the line's outstanding fill completes; 0 when none.
+     * This is the SCC's MSHR file: a miss allocates its MSHR on the
+     * line it fills, and the entry leaves with the line or at the
+     * first reference on or after this cycle.
+     */
+    Cycle readyAt = 0;
+
+    CoherenceState state = CoherenceState::Invalid;
 
     /** Security domain that filled the line (0 when not isolated). */
     std::uint16_t domain = 0;
 
     bool valid() const { return state != CoherenceState::Invalid; }
 };
+
+static_assert(sizeof(CacheLine) == 32,
+              "CacheLine must stay 32 bytes, two per host cache line");
 
 /** Tag store for one cache (SCC or instruction cache). */
 class TagArray
@@ -83,18 +95,18 @@ class TagArray
     CacheLine *lookup(Addr addr);
 
     /**
-     * Look up without touching LRU state (snoops, tests). Domain
-     * agnostic: under color/rand every domain's candidate set is
-     * probed, so a snoop or a cross-domain sharer always finds the
-     * single resident copy — isolation constrains placement, never
-     * coherence.
+     * Look up without touching LRU state. Scans the set's ways in
+     * order. Domain agnostic: under color/rand every domain's
+     * candidate set is probed, so a snoop or a cross-domain sharer
+     * always finds the single resident copy — isolation constrains
+     * placement, never coherence.
      */
     CacheLine *probe(Addr addr);
     const CacheLine *probe(Addr addr) const;
 
     /**
-     * Re-stamp a line already known to be resident (the reference
-     * fast path). Equivalent to the LRU side effect of lookup().
+     * Re-stamp a line already known to be resident (a probe that
+     * hit). Equivalent to the LRU side effect of lookup().
      */
     void
     touch(CacheLine *line)
@@ -112,14 +124,24 @@ class TagArray
 
     /**
      * Install @p addr over @p line (which must belong to the right
-     * set) with the given state; updates LRU and records the
-     * filling domain.
+     * set) with the given state and no outstanding fill; updates
+     * LRU and records the filling domain.
      */
     void fill(CacheLine *line, Addr addr, CoherenceState state,
               int domain = 0);
 
     /** Invalidate a line if present. @return true if it was valid. */
     bool invalidate(Addr addr);
+
+    /**
+     * Reset a resident line to the empty way: no tag, no state, no
+     * recency stamp, no domain and no outstanding fill.
+     */
+    static void
+    invalidate(CacheLine *line)
+    {
+        *line = CacheLine{};
+    }
 
     /** Number of valid lines (tests / occupancy stats). */
     std::uint64_t validLines() const;
@@ -200,15 +222,6 @@ class TagArray
     std::uint64_t _rekeyEpoch = 0;
     std::vector<std::uint64_t> _domainKeys;  //!< rand index keys
     /// @}
-
-    /**
-     * Most-recently-hit way per set: probe() checks it before
-     * scanning the set, so the common repeat hit is one tag
-     * compare. Pure search-order hint — it never changes which
-     * line a probe returns or which way victim() picks, so timing
-     * and victim selection are bit-identical with or without it.
-     */
-    mutable std::vector<std::uint32_t> _mruWay;
 };
 
 } // namespace scmp

@@ -147,9 +147,6 @@ writeArgs(std::ostream &os, Source source, const Event &event)
       case EventKind::BusOccupy:
         field("dirty_supplied", event.arg);
         break;
-      case EventKind::PortRef:
-        field("fast", event.arg);
-        break;
       case EventKind::QuantumSwitch:
         if (!first)
             os << ',';
@@ -258,8 +255,7 @@ Recorder::writeChromeTrace(std::ostream &os) const
            << "\":" << ring(source).dropped();
     }
     os << "},\"mshr_allocs\":" << _mshrAllocs
-       << ",\"mshr_merges\":" << _mshrMerges
-       << ",\"fast_refs\":" << _fastRefs;
+       << ",\"mshr_merges\":" << _mshrMerges;
     os << ",\"phases\":" << _phases.toJson();
     os << "}}\n";
 }

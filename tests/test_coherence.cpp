@@ -1,7 +1,8 @@
 /**
  * @file
  * Coherence tests: MSI transitions between SCCs over the snoopy
- * bus, and a randomized property sweep of the single-writer
+ * bus, remote events aimed between two same-line references of one
+ * processor, and a randomized property sweep of the single-writer
  * invariant.
  */
 
@@ -10,6 +11,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/machine.hh"
 #include "mem/scc.hh"
 #include "net/atomic_bus.hh"
 #include "sim/rng.hh"
@@ -116,6 +118,140 @@ TEST_F(CoherenceTest, DirtyEvictionWritesBack)
     EXPECT_EQ((std::uint64_t)sccs[0]->writeBacks.value(), 1u);
     EXPECT_EQ(sccs[0]->stateOf(a), CoherenceState::Invalid);
     EXPECT_EQ(sccs[0]->stateOf(b), CoherenceState::Modified);
+}
+
+/**
+ * Two single-processor clusters under the coherence checker, so a
+ * reference that missed a remote event would be caught by the
+ * golden-memory oracle as well as by the statistics below.
+ */
+MachineConfig
+twoClusterConfig(CoherenceProtocol protocol)
+{
+    MachineConfig config;
+    config.numClusters = 2;
+    config.cpusPerCluster = 1;
+    config.scc.protocol = protocol;
+    config.checkCoherence = true;
+    return config;
+}
+
+TEST(SccCoherence, RemoteUpgradeBetweenSameLineReadsForcesMiss)
+{
+    // cpu 0 (cluster 0) reads line L twice; cpu 1 (cluster 1)
+    // upgrades L, invalidating cluster 0's copy. cpu 0's next read
+    // of L must miss.
+    Machine machine(
+        twoClusterConfig(CoherenceProtocol::WriteInvalidate));
+    const Addr line = 0x1000;
+    Cycle now = 0;
+
+    machine.access(0, RefType::Read, line, now, 1);       // miss
+    now += 200;
+    machine.access(0, RefType::Read, line, now, 1);       // hit
+    now += 200;
+    machine.access(1, RefType::Read, line, now, 1);       // miss
+    now += 200;
+    machine.access(1, RefType::Write, line, now, 1);      // Upgrade
+    ASSERT_EQ(machine.scc(0).stateOf(line),
+              CoherenceState::Invalid);
+    now += 200;
+
+    machine.access(0, RefType::Read, line, now, 1);
+    EXPECT_EQ((std::uint64_t)machine.scc(0).readMisses.value(), 2u)
+        << "a read after a remote invalidation must miss";
+    EXPECT_EQ((std::uint64_t)machine.scc(0).readHits.value(), 1u);
+    EXPECT_EQ(
+        (std::uint64_t)machine.scc(0).invalidationsReceived.value(),
+        1u);
+}
+
+TEST(SccCoherence, RemoteWriteMissBetweenSameLineReadsForcesMiss)
+{
+    // Same shape, but the remote write misses (ReadExcl on the bus)
+    // instead of upgrading — the other invalidation source.
+    Machine machine(
+        twoClusterConfig(CoherenceProtocol::WriteInvalidate));
+    const Addr line = 0x2000;
+    Cycle now = 0;
+
+    machine.access(0, RefType::Read, line, now, 1);       // miss
+    now += 200;
+    machine.access(0, RefType::Read, line, now, 1);       // hit
+    now += 200;
+    machine.access(1, RefType::Write, line, now, 1);      // ReadExcl
+    ASSERT_EQ(machine.scc(0).stateOf(line),
+              CoherenceState::Invalid);
+    now += 200;
+
+    machine.access(0, RefType::Read, line, now, 1);
+    EXPECT_EQ((std::uint64_t)machine.scc(0).readMisses.value(), 2u);
+    EXPECT_EQ((std::uint64_t)machine.scc(0).readHits.value(), 1u);
+}
+
+TEST(SccCoherence, UpdateAbsorbBetweenWritesDropsExclusivity)
+{
+    // Write-update: cpu 0 holds line L Modified and writes it
+    // again. cpu 1's write miss fetches a shared copy (demoting
+    // cpu 0) and broadcasts an Update, which cpu 0 absorbs. cpu 0's
+    // next write must not hit silently as an exclusive owner — it
+    // has to broadcast its own Update, or cpu 1 would be left with
+    // stale data.
+    Machine machine(
+        twoClusterConfig(CoherenceProtocol::WriteUpdate));
+    const Addr line = 0x3000;
+    Cycle now = 0;
+
+    machine.access(0, RefType::Write, line, now, 1);  // excl fill
+    now += 200;
+    machine.access(0, RefType::Write, line, now, 1);  // silent hit
+    ASSERT_EQ(machine.scc(0).stateOf(line),
+              CoherenceState::Modified);
+    now += 200;
+    machine.access(1, RefType::Write, line, now, 1);  // miss+Update
+    ASSERT_EQ(machine.scc(0).stateOf(line),
+              CoherenceState::Shared);
+    EXPECT_EQ((std::uint64_t)machine.scc(0).updatesReceived.value(),
+              1u);
+    now += 200;
+
+    double broadcastsBefore = machine.scc(0).updatesBroadcast.value();
+    machine.access(0, RefType::Write, line, now, 1);
+    EXPECT_EQ(machine.scc(0).updatesBroadcast.value(),
+              broadcastsBefore + 1)
+        << "write after a remote Update must re-broadcast";
+    EXPECT_EQ((std::uint64_t)machine.scc(1).updatesReceived.value(),
+              1u);
+    EXPECT_EQ(machine.scc(1).stateOf(line), CoherenceState::Shared)
+        << "remote copy survives under write-update";
+}
+
+TEST(SccCoherence, RemoteReadDemotionBetweenWritesForcesBroadcast)
+{
+    // A remote read snoop downgrades Modified to Shared in place.
+    // The next write must see the demoted state and broadcast an
+    // Update instead of silently hitting.
+    Machine machine(
+        twoClusterConfig(CoherenceProtocol::WriteUpdate));
+    const Addr line = 0x4000;
+    Cycle now = 0;
+
+    machine.access(0, RefType::Write, line, now, 1);  // excl fill
+    now += 200;
+    machine.access(0, RefType::Write, line, now, 1);  // silent hit
+    now += 200;
+    machine.access(1, RefType::Read, line, now, 1);   // demote
+    ASSERT_EQ(machine.scc(0).stateOf(line),
+              CoherenceState::Shared);
+    now += 200;
+
+    machine.access(0, RefType::Write, line, now, 1);
+    EXPECT_EQ((std::uint64_t)machine.scc(0).updatesBroadcast.value(),
+              1u)
+        << "write to a demoted line must broadcast";
+    EXPECT_EQ(machine.scc(1).stateOf(line), CoherenceState::Shared);
+    EXPECT_EQ((std::uint64_t)machine.scc(1).updatesReceived.value(),
+              1u);
 }
 
 /**

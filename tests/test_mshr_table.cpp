@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for the flat open-addressing MSHR table (LineMap<Cycle>),
- * including a randomized cross-check against std::unordered_map and
- * directed probes of the backward-shift deletion, plus forEach over
- * a record-valued LineMap.
+ * Tests for the flat open-addressing line table (LineMap), keyed
+ * by line address: a randomized cross-check against
+ * std::unordered_map, directed probes of the backward-shift
+ * deletion, and forEach over a record-valued table.
  */
 
 #include <gtest/gtest.h>
@@ -19,9 +19,9 @@ namespace
 
 using namespace scmp;
 
-TEST(MshrTable, BasicSetFindErase)
+TEST(LineMap, BasicSetFindErase)
 {
-    MshrTable table;
+    LineMap<Cycle> table;
     EXPECT_TRUE(table.empty());
     EXPECT_EQ(table.find(0x1000), nullptr);
 
@@ -41,9 +41,9 @@ TEST(MshrTable, BasicSetFindErase)
     EXPECT_TRUE(table.empty());
 }
 
-TEST(MshrTable, FindIsMutable)
+TEST(LineMap, FindIsMutable)
 {
-    MshrTable table;
+    LineMap<Cycle> table;
     table.set(0x40, 7);
     *table.find(0x40) = 9;
     EXPECT_EQ(*table.find(0x40), 9u);
@@ -74,9 +74,9 @@ TEST(LineMap, ConstFindSeesWhatMutableFindSees)
     EXPECT_EQ(*view.find(0x40), 99u);
 }
 
-TEST(MshrTable, GrowPreservesEntries)
+TEST(LineMap, GrowPreservesEntries)
 {
-    MshrTable table(4);  // force several growths
+    LineMap<Cycle> table(4);  // force several growths
     for (Addr a = 1; a <= 200; ++a)
         table.set(a * 0x40, (Cycle)a);
     EXPECT_EQ(table.size(), 200u);
@@ -86,9 +86,9 @@ TEST(MshrTable, GrowPreservesEntries)
     }
 }
 
-TEST(MshrTable, ClearEmptiesTable)
+TEST(LineMap, ClearEmptiesTable)
 {
-    MshrTable table;
+    LineMap<Cycle> table;
     for (Addr a = 1; a <= 20; ++a)
         table.set(a * 0x40, 1);
     table.clear();
@@ -124,12 +124,12 @@ TEST(LineMap, ForEachVisitsEveryEntryOnceAndCanMutate)
     }
 }
 
-TEST(MshrTable, EraseFromProbeChainKeepsFollowersReachable)
+TEST(LineMap, EraseFromProbeChainKeepsFollowersReachable)
 {
     // Build a colliding chain, then delete from the middle and the
     // front: backward-shift deletion must keep every survivor
     // findable (this is where tombstone-free tables usually break).
-    MshrTable table(8);  // small, so collisions are guaranteed
+    LineMap<Cycle> table(8);  // small, so collisions are guaranteed
     std::vector<Addr> keys;
     for (Addr a = 1; a <= 6; ++a)
         keys.push_back(a * 0x40);
@@ -149,9 +149,9 @@ TEST(MshrTable, EraseFromProbeChainKeepsFollowersReachable)
     }
 }
 
-TEST(MshrTable, RandomizedAgainstUnorderedMap)
+TEST(LineMap, RandomizedAgainstUnorderedMap)
 {
-    MshrTable table(4);
+    LineMap<Cycle> table(4);
     std::unordered_map<Addr, Cycle> model;
     Rng rng(0x715b5eedull);
     // Small key universe so inserts, overwrites and erases all hit
@@ -182,9 +182,9 @@ TEST(MshrTable, RandomizedAgainstUnorderedMap)
     }
 }
 
-TEST(MshrTableDeath, RejectsInvalidAddrKey)
+TEST(LineMapDeath, RejectsInvalidAddrKey)
 {
-    MshrTable table;
+    LineMap<Cycle> table;
     EXPECT_DEATH(table.set(invalidAddr, 1), "real line address");
 }
 

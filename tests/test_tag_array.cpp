@@ -113,25 +113,42 @@ TEST(TagArray, InvalidateResetsLruStamp)
     EXPECT_EQ(tags.victim(0x500)->tag, 0x000u);
 }
 
-TEST(TagArray, MruHintSurvivesInvalidateAndRefill)
+TEST(TagArray, FillAndInvalidateClearTheOutstandingFill)
 {
-    // probe() consults a most-recently-hit way hint. Stale hints
-    // (after the hinted line is invalidated or overwritten) must
-    // fall back to the full set scan with identical results.
+    // A line's readyAt is the SCC's MSHR: a new tenancy starts with
+    // none, and an invalidated way carries none.
+    TagArray tags(64, 16, 4);
+    CacheLine *line = tags.victim(0x100);
+    tags.fill(line, 0x100, CoherenceState::Shared);
+    EXPECT_EQ(line->readyAt, 0u);
+    line->readyAt = 500;
+    ASSERT_TRUE(tags.invalidate(0x100));
+    EXPECT_EQ(line->readyAt, 0u);
+
+    line->readyAt = 700;
+    tags.fill(line, 0x200, CoherenceState::Modified);
+    EXPECT_EQ(line->readyAt, 0u);
+}
+
+TEST(TagArray, ProbeMissesInvalidatedAndOverwrittenWays)
+{
+    // A way that was just hit, then invalidated or overwritten with
+    // another tag, must miss for its old tag while the rest of the
+    // set still hits.
     TagArray tags(64, 16, 4);
     Addr addrs[] = {0x000, 0x100, 0x200, 0x300};
     for (Addr a : addrs)
         tags.fill(tags.victim(a), a, CoherenceState::Shared);
 
-    // Make 0x300 the hinted way, then invalidate it.
+    // Hit 0x300, then invalidate it.
     ASSERT_NE(tags.probe(0x300), nullptr);
     ASSERT_TRUE(tags.invalidate(0x300));
     EXPECT_EQ(tags.probe(0x300), nullptr);
     ASSERT_NE(tags.probe(0x000), nullptr);  // scan still works
     EXPECT_EQ(tags.probe(0x000)->tag, 0x000u);
 
-    // Refill over the hinted way with a different tag; the old
-    // tag must miss and the new one must hit.
+    // Refill the freed way with a different tag; the old tag must
+    // miss and the new one must hit.
     tags.fill(tags.victim(0x400), 0x400, CoherenceState::Shared);
     EXPECT_EQ(tags.probe(0x300), nullptr);
     ASSERT_NE(tags.probe(0x400), nullptr);
@@ -147,7 +164,7 @@ TEST(TagArray, RandomizedResidencyMatchesModel)
 {
     // Drive fills, probes, lookups and invalidates against a plain
     // map of resident lines; probe()/lookup() must agree with the
-    // model at every step regardless of the MRU hint's state.
+    // model at every step.
     TagArray tags(1 << 10, 16, 4);
     Rng rng(0xfeedULL);
     std::set<Addr> resident;
