@@ -8,11 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <mutex>
 #include <set>
 #include <sstream>
+#include <thread>
 
 #include "sweep/json.hh"
 #include "sweep/point_key.hh"
@@ -83,6 +85,8 @@ struct SeedLog
 {
     std::mutex mutex;
     std::multiset<std::uint64_t> seeds;
+    std::vector<std::uint64_t> arrivals; //!< seeds in reseed() order
+    std::set<std::thread::id> threads;   //!< host threads that reseeded
 };
 
 /** A workload that records its reseed() value into a SeedLog. */
@@ -98,6 +102,8 @@ class SeedProbe : public ParallelWorkload
     {
         std::lock_guard<std::mutex> lock(_log->mutex);
         _log->seeds.insert(pointSeed);
+        _log->arrivals.push_back(pointSeed);
+        _log->threads.insert(std::this_thread::get_id());
     }
 
     void
@@ -948,6 +954,71 @@ TEST(Study, RecordsCarryTagsAndTheirJobCount)
         EXPECT_EQ(stored->tags.at("clusters"),
                   std::to_string(config.numClusters));
         EXPECT_TRUE(stored->describes(config, "mini"));
+    }
+    std::remove(path.c_str());
+}
+
+// Whatever the job count, each distinct point is reseeded and run
+// exactly once and the store ends up with the same records; one job
+// runs the points in config order on the calling thread.
+TEST(Study, EveryPointRunsOnceAtAnyJobCount)
+{
+    // Arbitration is dead on the tree, so the copy inserted third is
+    // the same point as the last config, seen first.
+    std::vector<MachineConfig> configs = netStudyConfigs();
+    MachineConfig priority = configs.back();
+    priority.net.arbitration = NetArbitration::Priority;
+    configs.insert(configs.begin() + 2, priority);
+    ASSERT_EQ(configs.size(), 7u);
+
+    std::vector<std::uint64_t> keys;
+    for (const MachineConfig &config : configs) {
+        std::uint64_t key =
+            sweep::pointKey(config, "seed-probe", "default");
+        if (std::find(keys.begin(), keys.end(), key) == keys.end())
+            keys.push_back(key);
+    }
+    ASSERT_EQ(keys.size(), 6u);
+
+    std::string path = tempPath("study_any_jobs.jsonl");
+    std::vector<std::string> serialLines;
+    for (int jobs : {1, 2, 3, 16}) {
+        SCOPED_TRACE("jobs=" + std::to_string(jobs));
+        SeedLog log;
+        auto factory = [&log] {
+            return std::make_unique<SeedProbe>(&log);
+        };
+        sweep::SweepOptions options;
+        options.jobs = jobs;
+        options.resultsPath = path;
+        sweep::SweepExecutor executor(options);
+        auto points =
+            executor.runStudy(factory, configs, {"clusters", "net"});
+        ASSERT_EQ(points.size(), keys.size());
+        int used = std::min(jobs, (int)keys.size());
+        EXPECT_EQ(executor.runStats().computed, keys.size());
+        EXPECT_EQ(executor.runStats().jobs, used);
+
+        EXPECT_EQ(log.seeds, std::multiset<std::uint64_t>(
+                                 keys.begin(), keys.end()));
+        if (jobs == 1) {
+            EXPECT_EQ(log.arrivals, keys);
+            EXPECT_EQ(log.threads, std::set<std::thread::id>{
+                                       std::this_thread::get_id()});
+        }
+
+        std::vector<std::string> lines;
+        for (sweep::StoredPoint record : storedRecords(path)) {
+            EXPECT_EQ(record.jobs, used);
+            record.jobs = 1;
+            record.wallMs = 0;
+            lines.push_back(sweep::ResultStore::serialize(record));
+        }
+        std::sort(lines.begin(), lines.end());
+        EXPECT_EQ(lines.size(), keys.size());
+        if (jobs == 1)
+            serialLines = lines;
+        EXPECT_EQ(lines, serialLines);
     }
     std::remove(path.c_str());
 }
