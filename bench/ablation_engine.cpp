@@ -103,14 +103,12 @@ main(int argc, char **argv)
                 });
             }
             engine.run();
-            double conflicts = 0;
-            for (int c = 0; c < machine.numClusters; ++c) {
-                conflicts +=
-                    sim.scc(c).bankConflictCycles.value();
-            }
+            std::uint64_t conflicts = 0;
+            for (int c = 0; c < machine.numClusters; ++c)
+                conflicts += sim.scc(c).bankConflictCycles.value();
             table.addRow({Table::cell((std::uint64_t)banks),
                           Table::cell(engine.finishTime()),
-                          Table::cell((std::uint64_t)conflicts)});
+                          Table::cell(conflicts)});
         }
         bench::emit(table, options);
     }

@@ -519,15 +519,11 @@ CoherenceChecker::fullWalk()
 std::uint64_t
 CoherenceChecker::checksPerformed() const
 {
-    return (std::uint64_t)(loadsChecked.value() +
-                           storesChecked.value() +
-                           lineChecks.value() + fullWalks.value() +
-                           forwardsChecked.value() +
-                           fencesChecked.value() +
-                           tmCommitsChecked.value() +
-                           tmReadSetChecks.value() +
-                           tmPublishesChecked.value() +
-                           tmAbortsChecked.value());
+    return loadsChecked.value() + storesChecked.value() +
+           lineChecks.value() + fullWalks.value() +
+           forwardsChecked.value() + fencesChecked.value() +
+           tmCommitsChecked.value() + tmReadSetChecks.value() +
+           tmPublishesChecked.value() + tmAbortsChecked.value();
 }
 
 } // namespace scmp::check

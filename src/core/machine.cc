@@ -204,18 +204,18 @@ Machine::enableObs()
     // counters here are exact integers (stats:: scalars), so the
     // series' final row always equals the whole-run aggregates.
     auto sumScc = [this](auto member) {
-        return [this, member]() -> std::uint64_t {
-            double total = 0;
+        return [this, member] {
+            std::uint64_t total = 0;
             for (const auto &scc : _sccs)
                 total += (scc.get()->*member).value();
-            return (std::uint64_t)total;
+            return total;
         };
     };
     r->addCounter("busTransactions", [this] {
-        return (std::uint64_t)_bus->transactions.value();
+        return _bus->transactions.value();
     });
     r->addCounter("busWaitCycles", [this] {
-        return (std::uint64_t)_bus->waitCycles.value();
+        return _bus->waitCycles.value();
     });
     r->addCounter("invalidations", [this] {
         return _bus->invalidationsPerformed();
@@ -261,19 +261,19 @@ Machine::enableObs()
     // columns here (same discipline as the flat memory backend).
     if (_weak) {
         r->addCounter("sbStores", [this] {
-            return (std::uint64_t)_sbStats->storesBuffered.value();
+            return _sbStats->storesBuffered.value();
         });
         r->addCounter("sbDrains", [this] {
-            return (std::uint64_t)_sbStats->storesDrained.value();
+            return _sbStats->storesDrained.value();
         });
         r->addCounter("sbForwards", [this] {
-            return (std::uint64_t)_sbStats->loadsForwarded.value();
+            return _sbStats->loadsForwarded.value();
         });
         r->addCounter("sbDrainStallCycles", [this] {
-            return (std::uint64_t)_sbStats->drainStallCycles.value();
+            return _sbStats->drainStallCycles.value();
         });
         r->addCounter("sbFenceWaitCycles", [this] {
-            return (std::uint64_t)_sbStats->fenceWaitCycles.value();
+            return _sbStats->fenceWaitCycles.value();
         });
         r->addGauge("sbOccupancy", [this] {
             std::uint64_t total = 0;
@@ -286,17 +286,16 @@ Machine::enableObs()
     // default machines gain no columns (same discipline as above).
     if (_tm) {
         r->addCounter("tmCommits", [this] {
-            return (std::uint64_t)_tmStats->commits.value();
+            return _tmStats->commits.value();
         });
         r->addCounter("tmAborts", [this] {
-            return (std::uint64_t)_tmStats->aborts.value();
+            return _tmStats->aborts.value();
         });
         r->addCounter("tmFallbacks", [this] {
-            return (std::uint64_t)_tmStats->fallbacks.value();
+            return _tmStats->fallbacks.value();
         });
         r->addCounter("tmSpeculativeStores", [this] {
-            return (std::uint64_t)
-                _tmStats->speculativeStores.value();
+            return _tmStats->speculativeStores.value();
         });
     }
     // Per-set occupancy series for the side-channel study
@@ -582,27 +581,23 @@ Machine::storeBuffer(CpuId cpu)
 double
 Machine::readMissRate() const
 {
-    double hits = 0;
-    double misses = 0;
+    std::uint64_t reads = 0;
+    std::uint64_t misses = 0;
     for (const auto &scc : _sccs) {
-        hits += scc->readHits.value();
+        reads += scc->readHits.value() + scc->readMisses.value();
         misses += scc->readMisses.value();
     }
-    double total = hits + misses;
-    return total > 0 ? misses / total : 0.0;
+    return reads ? (double)misses / (double)reads : 0.0;
 }
 
 double
 Machine::missRate() const
 {
-    double hits = 0;
-    double misses = 0;
-    for (const auto &scc : _sccs) {
-        hits += scc->readHits.value() + scc->writeHits.value();
+    std::uint64_t misses = 0;
+    for (const auto &scc : _sccs)
         misses += scc->readMisses.value() + scc->writeMisses.value();
-    }
-    double total = hits + misses;
-    return total > 0 ? misses / total : 0.0;
+    std::uint64_t total = dataAccesses();
+    return total ? (double)misses / (double)total : 0.0;
 }
 
 std::uint64_t
@@ -614,12 +609,12 @@ Machine::invalidations() const
 std::uint64_t
 Machine::dataAccesses() const
 {
-    double total = 0;
+    std::uint64_t total = 0;
     for (const auto &scc : _sccs) {
         total += scc->readHits.value() + scc->readMisses.value() +
                  scc->writeHits.value() + scc->writeMisses.value();
     }
-    return (std::uint64_t)total;
+    return total;
 }
 
 } // namespace scmp

@@ -40,8 +40,7 @@ runParallel(const MachineConfig &config, ParallelWorkload &workload,
     result.readMissRate = machine.readMissRate();
     result.missRate = machine.missRate();
     result.invalidations = machine.invalidations();
-    result.busTransactions =
-        (std::uint64_t)machine.bus().transactions.value();
+    result.busTransactions = machine.bus().transactions.value();
     result.busUtilization =
         machine.bus().utilization(result.cycles);
     double weightedHitRate = 0;
@@ -54,9 +53,9 @@ runParallel(const MachineConfig &config, ParallelWorkload &workload,
         result.dramRowHitRate =
             weightedHitRate / (double)result.dramFills;
     if (const TmStats *tm = machine.tmStats()) {
-        result.tmCommits = (std::uint64_t)tm->commits.value();
-        result.tmAborts = (std::uint64_t)tm->aborts.value();
-        result.tmFallbacks = (std::uint64_t)tm->fallbacks.value();
+        result.tmCommits = tm->commits.value();
+        result.tmAborts = tm->aborts.value();
+        result.tmFallbacks = tm->fallbacks.value();
         std::uint64_t attempts = result.tmCommits + result.tmAborts;
         if (attempts)
             result.tmAbortRate =

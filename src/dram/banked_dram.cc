@@ -115,9 +115,11 @@ BankedDram::writeBack(Addr lineAddr, Cycle now)
 double
 BankedDram::rowHitRate() const
 {
-    double accesses = rowHitCount.value() + rowMissCount.value() +
-                      rowConflictCount.value();
-    return accesses > 0 ? rowHitCount.value() / accesses : 0.0;
+    std::uint64_t accesses = rowHitCount.value() +
+                             rowMissCount.value() +
+                             rowConflictCount.value();
+    return accesses ? (double)rowHitCount.value() / (double)accesses
+                    : 0.0;
 }
 
 } // namespace scmp

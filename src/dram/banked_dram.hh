@@ -60,11 +60,11 @@ class BankedDram : public MemoryBackend
     }
     std::uint64_t fills() const override
     {
-        return (std::uint64_t)fillsServed.value();
+        return fillsServed.value();
     }
     std::uint64_t rowHits() const override
     {
-        return (std::uint64_t)rowHitCount.value();
+        return rowHitCount.value();
     }
     double rowHitRate() const override;
 

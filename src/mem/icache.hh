@@ -59,8 +59,8 @@ class ICache
     double
     missRate() const
     {
-        double total = fetches.value();
-        return total > 0 ? misses.value() / total : 0.0;
+        std::uint64_t total = fetches.value();
+        return total ? (double)misses.value() / (double)total : 0.0;
     }
 
     const ICacheParams &params() const { return _params; }

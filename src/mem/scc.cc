@@ -66,17 +66,16 @@ SharedClusterCache::stateOf(Addr addr) const
 double
 SharedClusterCache::readMissRate() const
 {
-    double reads = readHits.value() + readMisses.value();
-    return reads > 0 ? readMisses.value() / reads : 0.0;
+    std::uint64_t reads = readHits.value() + readMisses.value();
+    return reads ? (double)readMisses.value() / (double)reads : 0.0;
 }
 
 double
 SharedClusterCache::missRate() const
 {
-    double hits = readHits.value() + writeHits.value();
-    double misses = readMisses.value() + writeMisses.value();
-    double total = hits + misses;
-    return total > 0 ? misses / total : 0.0;
+    std::uint64_t misses = readMisses.value() + writeMisses.value();
+    std::uint64_t total = readHits.value() + writeHits.value() + misses;
+    return total ? (double)misses / (double)total : 0.0;
 }
 
 Cycle

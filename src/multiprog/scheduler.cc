@@ -155,13 +155,14 @@ runMultiprog(MachineConfig config,
     result.contextSwitches = policy.contextSwitches();
     result.invalidations = machine.invalidations();
 
-    double fetches = 0;
-    double misses = 0;
+    std::uint64_t fetches = 0;
+    std::uint64_t misses = 0;
     for (CpuId cpu = 0; cpu < config.cpusPerCluster; ++cpu) {
         fetches += machine.icache(cpu).fetches.value();
         misses += machine.icache(cpu).misses.value();
     }
-    result.icacheMissRate = fetches > 0 ? misses / fetches : 0.0;
+    result.icacheMissRate =
+        fetches ? (double)misses / (double)fetches : 0.0;
 
     result.verified = true;
     for (auto &app : apps) {

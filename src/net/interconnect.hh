@@ -142,7 +142,7 @@ class Interconnect
     /** Count of invalidations actually performed system-wide. */
     std::uint64_t invalidationsPerformed() const
     {
-        return (std::uint64_t)invalidations.value();
+        return invalidations.value();
     }
 
     const BusParams &params() const { return _params; }

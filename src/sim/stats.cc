@@ -1,7 +1,6 @@
 #include "stats.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <iomanip>
 
 #include "logging.hh"
@@ -51,9 +50,7 @@ printJsonString(std::ostream &os, const std::string &text)
 void
 Stat::printJson(std::ostream &os) const
 {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", value());
-    os << buf;
+    os << value();
 }
 
 Group::Group(std::string name) : _name(std::move(name))
@@ -126,7 +123,7 @@ Group::find(const std::string &path) const
     return nullptr;
 }
 
-double
+std::uint64_t
 Group::lookup(const std::string &path) const
 {
     const Stat *stat = find(path);

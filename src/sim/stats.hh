@@ -40,8 +40,8 @@ class Stat
     const std::string &name() const { return _name; }
     const std::string &desc() const { return _desc; }
 
-    /** Current value, as the double every dump prints. */
-    double value() const { return (double)_count; }
+    /** Current value, exact. */
+    std::uint64_t value() const { return _count; }
 
     /** Print one "name value # desc" line. */
     void print(std::ostream &os, const std::string &prefix) const;
@@ -59,8 +59,7 @@ class Stat
 
 /**
  * A counter. Increments and integer adds are a single branch-free
- * add on the reference path; every simulated quantity is an exact
- * integer far below 2^53, so value() reads it exactly.
+ * add on the reference path.
  */
 class Scalar : public Stat
 {
@@ -110,7 +109,7 @@ class Group
     Stat *find(const std::string &path) const;
 
     /** Value of a statistic by dotted path; panics if missing. */
-    double lookup(const std::string &path) const;
+    std::uint64_t lookup(const std::string &path) const;
 
     /** Dump "path value # desc" lines for the whole subtree. */
     void dump(std::ostream &os) const;

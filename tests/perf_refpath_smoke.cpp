@@ -37,7 +37,7 @@ namespace
 using namespace scmp;
 
 /** The stream's statistics dump, as 64-bit FNV-1a over its bytes. */
-constexpr std::uint64_t pinnedDumpDigest = 0x61cc30c48794aec5;
+constexpr std::uint64_t pinnedDumpDigest = 0xcbf1335b90c93d1b;
 
 std::uint64_t
 digestOf(const std::string &text)

@@ -18,14 +18,13 @@ TEST(Stats, ScalarCountsExactly)
 {
     Group root("root");
     Scalar counter(&root, "counter", "a counter");
-    EXPECT_DOUBLE_EQ(counter.value(), 0.0);
+    EXPECT_EQ(counter.value(), 0u);
     ++counter;
     counter += 4;
     counter += (std::int64_t)2;
-    EXPECT_DOUBLE_EQ(counter.value(), 7.0);
-    // Exact up to 2^53, far beyond any simulated count.
+    EXPECT_EQ(counter.value(), 7u);
     counter += (1ull << 53) - 8;
-    EXPECT_EQ(counter.value(), (double)((1ull << 53) - 1));
+    EXPECT_EQ(counter.value(), (1ull << 53) - 1);
 }
 
 TEST(Stats, GroupHierarchyAndLookup)
@@ -37,7 +36,7 @@ TEST(Stats, GroupHierarchyAndLookup)
     misses += 7;
 
     EXPECT_EQ(grandchild.path(), "system.cluster0.scc");
-    EXPECT_DOUBLE_EQ(root.lookup("cluster0.scc.misses"), 7.0);
+    EXPECT_EQ(root.lookup("cluster0.scc.misses"), 7u);
     EXPECT_EQ(root.find("cluster0.scc.nothing"), nullptr);
     EXPECT_EQ(root.find("bogus.path"), nullptr);
 }
@@ -59,6 +58,27 @@ TEST(Stats, DumpFormatsAllStats)
     std::ostringstream json;
     root.dumpJson(json);
     EXPECT_EQ(json.str(), "{\"counter\":3,\"sub\":{\"other\":4}}");
+}
+
+// A counter of a million or more must not print rounded: a dump
+// pins counts to the cycle.
+TEST(Stats, DumpPrintsCountersExactly)
+{
+    Group root("system");
+    Group bus(&root, "bus");
+    Scalar waits(&bus, "waitCycles", "cycles waited");
+    waits += 4884469;
+
+    std::ostringstream os;
+    root.dump(os);
+    std::string name = "system.bus.waitCycles";
+    EXPECT_EQ(os.str(), name + std::string(46 - name.size(), ' ') +
+                            " " + std::string(14 - 7, ' ') +
+                            "4884469   # cycles waited\n");
+
+    std::ostringstream json;
+    root.dumpJson(json);
+    EXPECT_EQ(json.str(), "{\"bus\":{\"waitCycles\":4884469}}");
 }
 
 TEST(StatsDeath, DuplicateNameInGroup)
