@@ -162,7 +162,7 @@ constexpr DesignField table[] = {
 #undef MEMBER
 
 constexpr const char *instrumentation[] = {
-    "checkCoherence", "checkWalkInterval", "obs", "refTap",
+    "checkCoherence", "checkWalkInterval", "obs",
 };
 
 } // namespace

@@ -446,11 +446,6 @@ Machine::access(CpuId cpu, RefType type, Addr addr, Cycle now,
     panic_if((std::size_t)cpu >= _cacheByCpu.size(),
              "bad cpu id ", cpu);
 
-    // Reference-stream tap (reuse-distance profiling): sees the
-    // raw stream before any timing, cannot perturb it.
-    if (_config.refTap)
-        _config.refTap->onRef(cpu, type, addr);
-
     // Instruction fetch stalls delay the data access. With ifetch
     // modelling off (the paper's data-reference studies) the fetch
     // call is a guaranteed no-op, so skip it outright.

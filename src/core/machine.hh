@@ -14,7 +14,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/ref_tap.hh"
 #include "exec/engine.hh"
 #include "mem/icache.hh"
 #include "mem/scc.hh"
@@ -122,15 +121,6 @@ struct MachineConfig
      * point key and never perturbs simulated time.
      */
     obs::RecorderConfig obs;
-
-    /**
-     * Optional reference-stream tap (src/model's reuse-distance
-     * profiler). Instrumentation like `obs` and `checkCoherence`:
-     * one branch per reference when attached, zero cost when null,
-     * never part of the sweep point key, and never shared across
-     * concurrently running machines (the tap is not thread-safe).
-     */
-    RefTap *refTap = nullptr;
 
     int totalCpus() const { return numClusters * cpusPerCluster; }
 

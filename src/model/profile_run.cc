@@ -1,7 +1,5 @@
 #include "profile_run.hh"
 
-#include "trace/trace.hh"
-
 namespace scmp::model
 {
 
@@ -19,26 +17,28 @@ namespace
 constexpr CycleDelta profileSlackWindow = 0;
 
 /**
- * The functional memory: feed the tap, complete instantly. The
- * engine still charges instruction time, so thread clocks (and
+ * The functional memory: feed the profiler, complete instantly.
+ * The engine still charges instruction time, so thread clocks (and
  * with them the interleaving) advance realistically.
  */
 class ProfilingMemory : public MemorySystem
 {
   public:
-    explicit ProfilingMemory(RefTap *tap) : _tap(tap) {}
+    explicit ProfilingMemory(ReuseProfiler *profiler)
+        : _profiler(profiler)
+    {
+    }
 
     Cycle
     access(CpuId cpu, RefType type, Addr addr, Cycle now,
-           std::uint32_t instrGap) override
+           std::uint32_t) override
     {
-        (void)instrGap;
-        _tap->onRef(cpu, type, addr);
+        _profiler->onRef(cpu, type, addr);
         return now;
     }
 
   private:
-    RefTap *_tap;
+    ReuseProfiler *_profiler;
 };
 
 ProfilerConfig
@@ -81,23 +81,6 @@ profileWorkload(const MachineConfig &config,
     }
     engine.run();
     profiler.setInstructions(engine.totalInstructions());
-    return profiler.profile();
-}
-
-ReuseProfile
-profileTrace(const std::string &path, const MachineConfig &config,
-             const ProfileRunOptions &options)
-{
-    ReuseProfiler profiler(profilerConfigFor(config, options));
-    TraceReader reader(path);
-    TraceRecord record;
-    std::uint64_t instructions = 0;
-    while (reader.next(record)) {
-        instructions += record.gap;
-        profiler.onRef((CpuId)record.cpu, record.refType(),
-                       record.addr);
-    }
-    profiler.setInstructions(instructions);
     return profiler.profile();
 }
 

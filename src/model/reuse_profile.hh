@@ -41,8 +41,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/ref_tap.hh"
 #include "mem/mshr_table.hh"
+#include "sim/types.hh"
 
 namespace scmp::model
 {
@@ -265,16 +265,16 @@ struct ProfilerConfig
 };
 
 /**
- * The one-pass profiler. Implements RefTap, so it can ride a live
- * Machine (MachineConfig::refTap), the functional profiling pass
- * (src/model/profile_run), or a recorded trace (src/trace).
+ * The one-pass profiler, fed the data-reference stream in issue
+ * order by the functional profiling pass (src/model/profile_run).
  */
-class ReuseProfiler : public RefTap
+class ReuseProfiler
 {
   public:
     explicit ReuseProfiler(ProfilerConfig config);
 
-    void onRef(CpuId cpu, RefType type, Addr addr) override;
+    /** One data reference, in issue order. */
+    void onRef(CpuId cpu, RefType type, Addr addr);
 
     /** Stamp the pass's instruction count (profile_run does). */
     void setInstructions(std::uint64_t instructions);

@@ -33,9 +33,9 @@ KeyHasher::mix(std::string_view text)
 std::uint64_t
 hashMachineConfig(const MachineConfig &config)
 {
-    // Instrumentation (the checker, obs, the reference tap) is not
-    // in the table, so a checked or observed run and a plain one
-    // are the same design point and share stored records.
+    // Instrumentation (the checker and obs) is not in the table, so
+    // a checked or observed run and a plain one are the same design
+    // point and share stored records.
     MachineConfig point = normalized(config);
     KeyHasher h;
     for (const DesignField &field : designFields) {
