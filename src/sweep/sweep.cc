@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <deque>
-#include <mutex>
 #include <numeric>
 #include <optional>
 #include <sstream>
@@ -358,63 +356,25 @@ SweepExecutor::execute(const DesignSpace::WorkloadFactory &factory,
         }
     };
 
-    if (jobs <= 1) {
-        // Serial reference path — same runOne, same order the old
-        // serial sweep used.
-        for (std::size_t i : pending)
-            runOne(i);
-    } else {
-        // Work-stealing pool: each worker owns a deque dealt
-        // round-robin; it pops its own work from the front and
-        // steals from the back of the busiest-looking victim when
-        // it runs dry. Stealing from the opposite end keeps owner
-        // and thief off the same cache lines and the same grid
-        // region (long-running points cluster by coordinates).
-        struct WorkQueue
-        {
-            std::mutex mutex;
-            std::deque<std::size_t> tasks;
-        };
-        std::vector<WorkQueue> queues(jobs);
-        for (std::size_t k = 0; k < pending.size(); ++k)
-            queues[k % jobs].tasks.push_back(pending[k]);
-
-        auto worker = [&](int self) {
-            for (;;) {
-                std::size_t task = 0;
-                bool got = false;
-                {
-                    WorkQueue &own = queues[self];
-                    std::lock_guard<std::mutex> lock(own.mutex);
-                    if (!own.tasks.empty()) {
-                        task = own.tasks.front();
-                        own.tasks.pop_front();
-                        got = true;
-                    }
-                }
-                for (int step = 1; !got && step < jobs; ++step) {
-                    WorkQueue &victim =
-                        queues[(self + step) % jobs];
-                    std::lock_guard<std::mutex> lock(victim.mutex);
-                    if (!victim.tasks.empty()) {
-                        task = victim.tasks.back();
-                        victim.tasks.pop_back();
-                        got = true;
-                    }
-                }
-                if (!got)
-                    return;  // every queue is empty — all done
-                runOne(task);
-            }
-        };
-
-        std::vector<std::thread> threads;
-        threads.reserve(jobs);
-        for (int w = 0; w < jobs; ++w)
-            threads.emplace_back(worker, w);
-        for (auto &thread : threads)
-            thread.join();
-    }
+    // One loop deals the pending points out in order through a
+    // shared cursor. The calling thread runs it beside jobs - 1
+    // helpers, so one job runs every point in order on the caller.
+    std::atomic<std::size_t> cursor{0};
+    auto work = [&] {
+        for (;;) {
+            std::size_t k =
+                cursor.fetch_add(1, std::memory_order_relaxed);
+            if (k >= pending.size())
+                return;
+            runOne(pending[k]);
+        }
+    };
+    std::vector<std::thread> helpers;
+    for (int w = 1; w < jobs; ++w)
+        helpers.emplace_back(work);
+    work();
+    for (std::thread &helper : helpers)
+        helper.join();
 
     _stats.computed = toCompute;
     _stats.wallMs = msSince(sweepStart);

@@ -7,11 +7,11 @@
  * (fabric, DRAM, consistency, TM, isolation) is a list of machine
  * configurations. Each point is a fully self-contained simulation
  * (fresh Machine, fresh workload, fresh Arena, deterministic
- * engine). The SweepExecutor exploits that independence: a
- * work-stealing pool of host threads runs points concurrently, a
- * ResultStore persists each completed point keyed by its stable
- * configuration hash, and a resumed sweep skips every point the
- * store already holds.
+ * engine). The SweepExecutor exploits that independence: the
+ * calling thread and jobs - 1 helper threads take points in order
+ * from one shared cursor, a ResultStore persists each completed
+ * point keyed by its stable configuration hash, and a resumed sweep
+ * skips every point the store already holds.
  *
  * Correctness bar: a sweep with --jobs=N produces bit-identical
  * RunResults to the serial sweep. Each point's inputs are functions
@@ -141,9 +141,9 @@ void setDefaultSweepOptions(const SweepOptions &options);
 const SweepOptions &defaultSweepOptions();
 
 /**
- * Work-stealing executor over a set of design points: a grid
- * (run) or a study's configuration list (runStudy), both through
- * one store/resume/obs/progress path.
+ * Executor over a set of design points: a grid (run) or a study's
+ * configuration list (runStudy), both through one
+ * store/resume/obs/progress path.
  */
 class SweepExecutor
 {
@@ -183,7 +183,7 @@ class SweepExecutor
      * The shared core: dedupe @p configs by point key, screen them
      * analytically when @p profileConfig (the profiling pass's
      * machine) is given, serve stored points, and run the rest on
-     * the pool.
+     * the workers.
      */
     std::vector<DesignPoint>
     execute(const DesignSpace::WorkloadFactory &factory,
