@@ -105,24 +105,11 @@ struct IcnModel
 /** Pad frames: perimeter pad ring vs C4 area array. */
 struct PadModel
 {
-    /** Pads that fit per mm of die perimeter. */
-    double padsPerMm = 10.0;
-
-    /** Area cost of the perimeter pad ring + chip routing. */
+    /** Area cost of the perimeter pad ring. */
     double perimeterRingMm2 = 34.0;
 
     /** Extra area when pads exceed the perimeter budget (C4). */
     double c4OverheadMm2 = 2.8;
-
-    /** Signal pads needed per off-chip processor port. */
-    int padsPerRemotePort = 160;
-
-    /** Maximum pads a perimeter frame supports on an 18 mm die. */
-    int
-    perimeterCapacity(double dieSideMm) const
-    {
-        return (int)(4.0 * dieSideMm * padsPerMm);
-    }
 };
 
 /** Complete area model bundle. */

@@ -8,9 +8,8 @@ namespace scmp::cost
 namespace
 {
 
-/** Fixed chip overhead: clock, global routing, pad ring. */
+/** Fixed chip overhead: clock and global routing. */
 constexpr double routingOverheadMm2 = 65.5;
-constexpr double padRingMm2 = 34.0;
 
 /** Pads included in the base ring; extras cost area each. */
 constexpr int basePads = 300;
@@ -21,7 +20,7 @@ constexpr double extraPadMm2 = 0.0331;
 double
 ChipDesign::areaMm2(const AreaModel &model) const
 {
-    double area = routingOverheadMm2 + padRingMm2;
+    double area = routingOverheadMm2 + model.pads.perimeterRingMm2;
     area += processorsOnChip *
             (model.processorDatapathMm2() + model.icacheMm2());
 

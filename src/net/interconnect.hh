@@ -146,7 +146,6 @@ class Interconnect
     }
 
     const BusParams &params() const { return _params; }
-    const DramParams &dramParams() const { return _dram; }
 
     /// @name Memory backend introspection (src/dram).
     /// One backend per fabric — except the tree with the banked

@@ -46,8 +46,6 @@ class SplitBus : public Interconnect
         return channel == 0 ? _reqBusy : _respBusy;
     }
 
-    const NetParams &netParams() const { return _net; }
-
     /// @name Split-bus statistics (absent on atomic configs, so
     /// default stats dumps are untouched).
     /// @{

@@ -63,12 +63,6 @@ class HierarchicalNet : public Interconnect
     /** Leaf segments actually configured (clamped to the caches). */
     int segments() const { return _segments; }
 
-    /** Leaf segment holding cache @p cache. */
-    int segmentOf(int cache) const
-    {
-        return _segOfCache[(std::size_t)cache];
-    }
-
     /**
      * Snoop-filter presence mask for @p lineAddr (bit s = segment s
      * may hold a copy). Inclusive: a stale 1 costs a filtered

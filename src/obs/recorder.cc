@@ -74,15 +74,6 @@ Recorder::totalRecorded() const
     return total;
 }
 
-std::uint64_t
-Recorder::totalDropped() const
-{
-    std::uint64_t total = 0;
-    for (const auto &ring : _rings)
-        total += ring->dropped();
-    return total;
-}
-
 void
 Recorder::threadSlice(ThreadId tid, Cycle start, Cycle end)
 {

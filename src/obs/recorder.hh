@@ -201,7 +201,6 @@ class Recorder
     /// @{
     const EventRing &ring(Source source) const;
     std::uint64_t totalRecorded() const;
-    std::uint64_t totalDropped() const;
     const IntervalSampler &sampler() const { return _sampler; }
     const PhaseProfiler &phases() const { return _phases; }
     bool finished() const { return _finished; }

@@ -39,9 +39,6 @@ logFormat(Args &&...args)
 /** Suppress all warn()/inform() output (quiet benches/tests). */
 void setLogQuiet(bool quiet);
 
-/** @return true when warn()/inform() output is suppressed. */
-bool logQuiet();
-
 } // namespace scmp
 
 #define panic(...) \

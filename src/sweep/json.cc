@@ -112,13 +112,6 @@ Json::asArray() const
     return _array;
 }
 
-const std::map<std::string, Json> &
-Json::asObject() const
-{
-    panic_if(_type != Type::Object, "JSON value is not an object");
-    return _object;
-}
-
 const Json *
 Json::find(const std::string &key) const
 {

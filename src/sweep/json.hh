@@ -61,7 +61,6 @@ class Json
     double asDouble() const;
     const std::string &asString() const;
     const std::vector<Json> &asArray() const;
-    const std::map<std::string, Json> &asObject() const;
     /// @}
 
     /** Object member lookup; nullptr when absent or not an object. */

@@ -243,17 +243,6 @@ percentile(const std::vector<Cycle> &sorted, double q)
 
 } // namespace
 
-double
-ServerWorkload::latencyAt(double q) const
-{
-    std::vector<Cycle> all;
-    all.reserve(completed());
-    for (const auto &thread : _latencies)
-        all.insert(all.end(), thread.begin(), thread.end());
-    std::sort(all.begin(), all.end());
-    return percentile(all, q);
-}
-
 void
 ServerWorkload::annotate(RunResult &result) const
 {

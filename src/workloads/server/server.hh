@@ -134,12 +134,6 @@ class ServerWorkload : public ParallelWorkload
     /** Completed requests (host view, tests). */
     std::uint64_t completed() const;
 
-    /**
-     * Latency at quantile @p q in [0, 1] over all completed
-     * requests (nearest-rank). Only meaningful after the run.
-     */
-    double latencyAt(double q) const;
-
   private:
     /** Sizes of one processor's shard (all powers of two). */
     static constexpr int tableSize = 2048;

@@ -157,12 +157,6 @@ Barnes::bodyPos(int body, int axis) const
 }
 
 double
-Barnes::bodyVel(int body, int axis) const
-{
-    return _bodies[body].vel[axis].raw();
-}
-
-double
 Barnes::bodyAcc(int body, int axis) const
 {
     return _bodies[body].acc[axis].raw();

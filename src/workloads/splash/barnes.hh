@@ -72,10 +72,8 @@ class Barnes : public ParallelWorkload
     /// @name Host-side body state accessors (tests/verification).
     /// @{
     double bodyPos(int body, int axis) const;
-    double bodyVel(int body, int axis) const;
     double bodyAcc(int body, int axis) const;
     double bodyMass(int body) const;
-    int numBodies() const { return _n; }
     /// @}
 
   private:
