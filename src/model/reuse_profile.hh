@@ -41,7 +41,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "mem/mshr_table.hh"
+#include "sim/line_map.hh"
 #include "sim/types.hh"
 
 namespace scmp::model
@@ -178,7 +178,7 @@ struct StackSlot
  * of its latest access, and the stack distance of a reuse is the
  * number of live lines in later slots. The layout keeps every
  * reference to a few flat-array touches:
- *  - a LineMap (src/mem/mshr_table.hh) from line to its record,
+ *  - a LineMap (src/sim/line_map.hh) from line to its record,
  *    updated in place on reuse;
  *  - a bitmap of live slots, one bit per slot;
  *  - a Fenwick tree over the bitmap's 64-slot words, holding only

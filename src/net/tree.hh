@@ -29,8 +29,8 @@
 #include <string>
 #include <vector>
 
-#include "mem/mshr_table.hh"
 #include "net/interconnect.hh"
+#include "sim/line_map.hh"
 
 namespace scmp
 {

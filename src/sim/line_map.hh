@@ -15,8 +15,8 @@
  * Not a general map: keys must never equal invalidAddr.
  */
 
-#ifndef SCMP_MEM_MSHR_TABLE_HH
-#define SCMP_MEM_MSHR_TABLE_HH
+#ifndef SCMP_SIM_LINE_MAP_HH
+#define SCMP_SIM_LINE_MAP_HH
 
 #include <cstddef>
 #include <cstdint>
@@ -190,4 +190,4 @@ class LineMap
 
 } // namespace scmp
 
-#endif // SCMP_MEM_MSHR_TABLE_HH
+#endif // SCMP_SIM_LINE_MAP_HH

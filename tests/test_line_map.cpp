@@ -11,7 +11,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "mem/mshr_table.hh"
+#include "sim/line_map.hh"
 #include "sim/rng.hh"
 
 namespace
