@@ -369,12 +369,13 @@ SweepExecutor::execute(const DesignSpace::WorkloadFactory &factory,
             runOne(pending[k]);
         }
     };
-    std::vector<std::thread> helpers;
-    for (int w = 1; w < jobs; ++w)
-        helpers.emplace_back(work);
-    work();
-    for (std::thread &helper : helpers)
-        helper.join();
+    {
+        // Helpers join as they leave this scope, on an exception too.
+        std::vector<std::jthread> helpers;
+        for (int w = 1; w < jobs; ++w)
+            helpers.emplace_back(work);
+        work();
+    }
 
     _stats.computed = toCompute;
     _stats.wallMs = msSince(sweepStart);
