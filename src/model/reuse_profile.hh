@@ -12,8 +12,9 @@
  * which the miss rate of EVERY cache size on the sweep axis can be
  * predicted, without re-simulating.
  *
- * The profiler maintains the histogram at three scopes in the same
- * pass:
+ * The stream comes from one functional run of the workload, the
+ * profiling pass of model/profile_run.hh. The profiler maintains the
+ * histogram at three scopes in the same pass:
  *  - machine: all processors interleaved (a single shared cache),
  *  - cluster: processors of one cluster interleaved (the SCC the
  *    paper sweeps — the scope the evaluator reads), and
