@@ -577,12 +577,6 @@ ThreadCtx::loadAddr(Addr addr)
 }
 
 void
-ThreadCtx::storeAddr(Addr addr)
-{
-    _engine.memRef(*(Engine::Thread *)_thread, RefType::Write, addr);
-}
-
-void
 ThreadCtx::work(std::uint64_t instrs)
 {
     _engine.addWork(*(Engine::Thread *)_thread, instrs);

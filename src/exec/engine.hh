@@ -470,9 +470,6 @@ class ThreadCtx
     /** Simulate a load of an explicit simulated address. */
     void loadAddr(Addr addr);
 
-    /** Simulate a store to an explicit simulated address. */
-    void storeAddr(Addr addr);
-
     /** Charge @p instrs non-memory instructions of compute. */
     void work(std::uint64_t instrs);
 
