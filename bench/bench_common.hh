@@ -2,33 +2,28 @@
  * @file
  * Shared plumbing for the table/figure reproduction benches.
  *
- * Every bench accepts:
+ * A bench reads only the flags it acts on, and refuses any other
+ * (Config::rejectUnread). Every bench reads, in parseBenchArgs():
  *   --quick        reduced inputs (CI-scale, same qualitative shape)
  *   --full         paper-scale inputs
  *   --csv          also emit tables as CSV
+ *   --check        run every machine under the coherence checker
+ *                  (src/check) — slower, but any figure produced is
+ *                  backed by a verified protocol
+ *
+ * The grid benches (fig2-fig6, tab3, tab4, fig_twospeed) read their
+ * axes in gridAxes():
  *   --sizes=...    override the SCC size axis
  *   --procs=...    override the processors-per-cluster axis
- *   --jobs=N       sweep design points on N host threads
- *                  (auto/0 = one per hardware thread; default serial)
- *   --model=M      sweep evaluation model: cycle (default),
- *                  analytic (reuse-distance screen only) or hybrid
- *                  (screen the grid, run the top-K frontier
- *                  cycle-accurately)
- *   --topk=K       hybrid frontier size (0 = auto, max(3, total/4))
- *   --profile-shift=S  SHARDS sampling shift for the profiling
- *                  pass (rate 1/2^S, S in [0, 31]; 0 = exact)
- *   --results=FILE persist each design point to a JSON-lines store
- *   --resume       skip points already present in --results
- *   --stats        attach per-point hierarchical stats to the store
- *   --progress     per-point progress with wall time and ETA
- *   --check        run every design point under the coherence
- *                  checker (src/check) — slower, but any figure
- *                  produced is backed by a verified protocol
- *   --obs=FILE     write a Chrome trace_event timeline per design
- *                  point (FILE suffixed with each point's key)
- *   --obs-interval=N  sample interval metrics every N cycles and
- *                  attach each point's series to --results records
- *   --obs-series=FILE also write each point's series as CSV
+ *
+ * The benches that run the sweep executor (fig2-fig4, tab3, tab4,
+ * fig_twospeed and the five per-axis studies) read its flags in
+ * sweepOptions() through sweep::fromFlags: --jobs, --model, --topk,
+ * --profile-shift, --results, --resume, --stats, --progress and the
+ * --obs flags (src/sweep/sweep.hh). The benches that build
+ * multiprogramming machines (fig5, fig6, tab6, tab7) read the --obs
+ * flags through obs::fromFlags, one trace per multiprog point.
+ * Logs stay quiet unless --progress is given.
  */
 
 #ifndef SCMP_BENCH_COMMON_HH
@@ -36,7 +31,6 @@
 
 #include <cstdlib>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -63,14 +57,11 @@ enum class Scale
     Full,
 };
 
-/** Parsed common options. */
+/** The flags every bench reads, and the rest left to read. */
 struct BenchOptions
 {
     Scale scale = Scale::Default;
     bool csv = false;
-    std::vector<std::uint64_t> sccSizes;
-    std::vector<int> clusterSizes;
-    sweep::SweepOptions sweep;
     Config config;
 };
 
@@ -100,58 +91,49 @@ parseBenchArgs(int argc, char **argv)
     else if (full)
         options.scale = Scale::Full;
     options.csv = options.config.getBool("csv", false);
-
-    std::vector<std::uint64_t> sizes = DesignSpace::paperSccSizes();
-    std::vector<int> procs = DesignSpace::paperClusterSizes();
-    if (options.scale == Scale::Quick) {
-        sizes = {4ull << 10, 32ull << 10, 256ull << 10};
-        procs = {1, 2, 8};
-    }
-    options.sccSizes = options.config.getSizeList("sizes", sizes);
-    options.clusterSizes = options.config.getIntList("procs", procs, 1);
-
-    // Sweep execution knobs: every DesignSpace::sweep call in this
-    // binary runs through the executor with these settings.
-    options.sweep.jobs =
-        options.config.getString("jobs", "") == "auto"
-            ? 0
-            : (int)options.config.getIntIn(
-                  "jobs", 1, 0, std::numeric_limits<int>::max());
-    options.sweep.model =
-        options.config.getEnum("model", options.sweep.model);
-    // Screen knobs are range-checked here, where the flag can still
-    // be named: a negative count would wrap to a huge unsigned one.
-    options.sweep.topK = (int)options.config.getIntIn(
-        "topk", 0, 0, std::numeric_limits<int>::max());
-    options.sweep.profileSampleShift =
-        (std::uint32_t)options.config.getIntIn("profile-shift", 0, 0,
-                                               31);
-    options.sweep.resultsPath =
-        options.config.getString("results", "");
-    options.sweep.resume = options.config.getBool("resume", false);
-    options.sweep.attachStats =
-        options.config.getBool("stats", false);
-    options.sweep.verbose =
-        options.config.getBool("progress", false);
-    options.sweep.scale = scaleName(options.scale);
-    fatal_if(options.sweep.resume &&
-                 options.sweep.resultsPath.empty(),
-             "--resume needs --results=FILE");
-    // Observability (src/obs): applied to every design point the
-    // sweep builds; the executor suffixes file paths per point, and
-    // --obs-interval also keeps each point's series for the store.
-    options.sweep.obs = obs::fromFlags(options.config, "scmp_trace.json");
-    options.sweep.obs.captureSeries = options.config.has("obs-interval");
-    sweep::setDefaultSweepOptions(options.sweep);
     // --check rides on the environment so every Machine built
-    // anywhere in the sweep (including worker threads) attaches the
-    // coherence checker without plumbing a flag through DesignSpace.
+    // anywhere in the bench (sweep workers included) attaches the
+    // coherence checker.
     if (options.config.getBool("check", false))
         setenv("SCMP_CHECK", "1", 1);
-    // Benches print tables, not logs — but --progress asks for the
-    // per-point telemetry, so only quiet the run without it.
-    setLogQuiet(!options.sweep.verbose);
+    // Benches print tables, not logs; sweepOptions() turns them on
+    // for --progress.
+    setLogQuiet(true);
     return options;
+}
+
+/** A grid bench's axes. */
+struct GridAxes
+{
+    std::vector<std::uint64_t> sccSizes;
+    std::vector<int> clusterSizes;
+};
+
+/**
+ * The axes --sizes and --procs ask for: the paper's by default, a
+ * 3 x 3 grid at --quick.
+ */
+inline GridAxes
+gridAxes(const BenchOptions &options)
+{
+    GridAxes axes{DesignSpace::paperSccSizes(),
+                  DesignSpace::paperClusterSizes()};
+    if (options.scale == Scale::Quick)
+        axes = {{4ull << 10, 32ull << 10, 256ull << 10}, {1, 2, 8}};
+    axes.sccSizes = options.config.getSizeList("sizes", axes.sccSizes);
+    axes.clusterSizes =
+        options.config.getIntList("procs", axes.clusterSizes, 1);
+    return axes;
+}
+
+/** The sweep options the flags ask for (sweep::fromFlags). */
+inline sweep::SweepOptions
+sweepOptions(const BenchOptions &options)
+{
+    sweep::SweepOptions sweep =
+        sweep::fromFlags(options.config, scaleName(options.scale));
+    setLogQuiet(!sweep.verbose);
+    return sweep;
 }
 
 /** Emit a table (and optionally CSV) to stdout. */
@@ -166,7 +148,7 @@ emit(const Table &table, const BenchOptions &options)
 }
 
 /**
- * The result of the study point (see DesignSpace::study) whose
+ * The result of the study point (see SweepExecutor::runStudy) whose
  * configuration satisfies @p match; fatal if there is none.
  */
 template <class Match>
@@ -261,19 +243,22 @@ multiprogRefs(const BenchOptions &options)
     return 4'000'000;
 }
 
-/** Run the multiprogramming workload at one design point. */
+/**
+ * Run the multiprogramming workload at one design point, observed
+ * as @p obsConfig asks (obs::fromFlags), its files tagged with the
+ * point.
+ */
 inline MultiprogResult
 multiprogPoint(int procs, std::uint64_t sccBytes,
-               const BenchOptions &options)
+               const BenchOptions &options,
+               const obs::RecorderConfig &obsConfig)
 {
     MachineConfig machine;
     machine.cpusPerCluster = procs;
     machine.scc.sizeBytes = sccBytes;
     machine.icache.enabled = true;
-    // Multiprog points run outside the sweep executor; apply the
-    // --obs options directly (no per-point path suffix needed — one
-    // multiprog point per bench run).
-    machine.obs = sweep::defaultSweepOptions().obs;
+    machine.obs = obs::tagPaths(
+        obsConfig, std::to_string(procs) + "P-" + sizeString(sccBytes));
 
     MultiprogParams params;
     params.totalRefs = multiprogRefs(options);

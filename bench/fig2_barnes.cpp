@@ -18,17 +18,18 @@ main(int argc, char **argv)
 {
     using namespace scmp;
     auto options = bench::parseBenchArgs(argc, argv);
+    bench::GridAxes axes = bench::gridAxes(options);
+    sweep::SweepExecutor executor(bench::sweepOptions(options));
     options.config.rejectUnread();
 
-    auto points = DesignSpace::sweep(
-        bench::barnesFactory(options), MachineConfig{},
-        options.sccSizes, options.clusterSizes);
+    DesignGrid points =
+        executor.run(bench::barnesFactory(options), MachineConfig{},
+                     axes.sccSizes, axes.clusterSizes);
 
     bench::emit(DesignSpace::normalizedTimeTable(
                     "Figure 2: Barnes-Hut normalized execution "
                     "time (1P/4KB = 100)",
-                    points, options.sccSizes,
-                    options.clusterSizes),
+                    points, axes.sccSizes, axes.clusterSizes),
                 options);
     return 0;
 }

@@ -17,27 +17,26 @@ main(int argc, char **argv)
 {
     using namespace scmp;
     auto options = bench::parseBenchArgs(argc, argv);
+    bench::GridAxes axes = bench::gridAxes(options);
+    sweep::SweepExecutor executor(bench::sweepOptions(options));
     options.config.rejectUnread();
 
-    auto points = DesignSpace::sweep(
-        bench::mp3dFactory(options), MachineConfig{},
-        options.sccSizes, options.clusterSizes);
+    DesignGrid points =
+        executor.run(bench::mp3dFactory(options), MachineConfig{},
+                     axes.sccSizes, axes.clusterSizes);
 
     bench::emit(DesignSpace::normalizedTimeTable(
                     "Figure 3: MP3D normalized execution time "
                     "(1P/4KB = 100)",
-                    points, options.sccSizes,
-                    options.clusterSizes),
+                    points, axes.sccSizes, axes.clusterSizes),
                 options);
     bench::emit(DesignSpace::speedupTable(
                     "Figure 3 (view): MP3D self-relative speedups",
-                    points, options.sccSizes,
-                    options.clusterSizes),
+                    points, axes.sccSizes, axes.clusterSizes),
                 options);
     bench::emit(DesignSpace::invalidationTable(
                     "Figure 3 (view): MP3D invalidations",
-                    points, options.sccSizes,
-                    options.clusterSizes),
+                    points, axes.sccSizes, axes.clusterSizes),
                 options);
     return 0;
 }

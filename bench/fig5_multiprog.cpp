@@ -19,12 +19,14 @@ main(int argc, char **argv)
 {
     using namespace scmp;
     auto options = bench::parseBenchArgs(argc, argv);
+    bench::GridAxes axes = bench::gridAxes(options);
+    obs::RecorderConfig obsConfig = obs::fromFlags(options.config);
     options.config.rejectUnread();
 
     Table table("Figure 5: multiprogramming normalized execution "
                 "time (1P/4KB = 100)");
     std::vector<std::string> header{"SCC Size"};
-    for (int procs : options.clusterSizes) {
+    for (int procs : axes.clusterSizes) {
         header.push_back(std::to_string(procs) +
                          (procs == 1 ? " Proc" : " Procs"));
     }
@@ -32,11 +34,11 @@ main(int argc, char **argv)
 
     double base = 0;
     std::vector<std::vector<double>> grid;
-    for (std::uint64_t size : options.sccSizes) {
+    for (std::uint64_t size : axes.sccSizes) {
         std::vector<double> row;
-        for (int procs : options.clusterSizes) {
-            auto result =
-                bench::multiprogPoint(procs, size, options);
+        for (int procs : axes.clusterSizes) {
+            auto result = bench::multiprogPoint(procs, size, options,
+                                                obsConfig);
             fatal_if(!result.verified,
                      "SPEC workload failed verification");
             row.push_back((double)result.cycles);
@@ -47,7 +49,7 @@ main(int argc, char **argv)
     }
 
     std::size_t rowIndex = 0;
-    for (std::uint64_t size : options.sccSizes) {
+    for (std::uint64_t size : axes.sccSizes) {
         std::vector<std::string> row{sizeString(size)};
         for (double cycles : grid[rowIndex])
             row.push_back(Table::cell(100.0 * cycles / base, 1));
@@ -57,13 +59,13 @@ main(int argc, char **argv)
     bench::emit(table, options);
 
     // The paper's headline factor: 8P time at 4 KB vs 512 KB.
-    if (options.sccSizes.size() >= 2) {
-        std::size_t lastProc = options.clusterSizes.size() - 1;
+    if (axes.sccSizes.size() >= 2) {
+        std::size_t lastProc = axes.clusterSizes.size() - 1;
         double small = grid.front()[lastProc];
         double large = grid.back()[lastProc];
         std::cout << "\nlargest-cluster slowdown from "
-                  << sizeString(options.sccSizes.back()) << " to "
-                  << sizeString(options.sccSizes.front()) << ": "
+                  << sizeString(axes.sccSizes.back()) << " to "
+                  << sizeString(axes.sccSizes.front()) << ": "
                   << Table::cell(small / large, 2)
                   << "x (paper: 4.1x)\n";
     }

@@ -18,21 +18,23 @@ main(int argc, char **argv)
 {
     using namespace scmp;
     auto options = bench::parseBenchArgs(argc, argv);
+    bench::GridAxes axes = bench::gridAxes(options);
+    obs::RecorderConfig obsConfig = obs::fromFlags(options.config);
     options.config.rejectUnread();
 
     Table table("Figure 6: multiprogramming self-relative speedup "
                 "(vs 1 proc at the same SCC size)");
     std::vector<std::string> header{"SCC Size"};
-    for (int procs : options.clusterSizes)
+    for (int procs : axes.clusterSizes)
         header.push_back(std::to_string(procs) + "P");
     table.setHeader(header);
 
-    for (std::uint64_t size : options.sccSizes) {
+    for (std::uint64_t size : axes.sccSizes) {
         std::vector<std::string> row{sizeString(size)};
         double base = 0;
-        for (int procs : options.clusterSizes) {
-            auto result =
-                bench::multiprogPoint(procs, size, options);
+        for (int procs : axes.clusterSizes) {
+            auto result = bench::multiprogPoint(procs, size, options,
+                                                obsConfig);
             fatal_if(!result.verified,
                      "SPEC workload failed verification");
             if (base == 0)

@@ -6,7 +6,7 @@
  * The paper's machine is sequentially consistent: every store holds
  * its processor until the bus transaction completes. This figure
  * runs SPLASH points over {sc, weak} × {atomic, split} × {rr,
- * priority} through DesignSpace::study — under weak
+ * priority} through SweepExecutor::runStudy — under weak
  * ordering stores retire into a per-CPU store buffer (src/mem/
  * store_buffer) and drain lazily, so the processor only ever waits
  * for stores at synchronization — and reports execution time plus
@@ -30,6 +30,7 @@ main(int argc, char **argv)
 {
     using namespace scmp;
     auto options = bench::parseBenchArgs(argc, argv);
+    sweep::SweepExecutor executor(bench::sweepOptions(options));
 
     const std::vector<ConsistencyModel> models = {
         ConsistencyModel::Sc, ConsistencyModel::Weak};
@@ -76,8 +77,8 @@ main(int argc, char **argv)
     }
 
     for (const Study &study : studies) {
-        auto points = DesignSpace::study(study.factory, configs,
-                                         {"net", "consistency"});
+        auto points = executor.runStudy(study.factory, configs,
+                                        {"net", "consistency"});
 
         Table time(std::string("Consistency: execution time "
                                "(cycles), ") +

@@ -32,6 +32,7 @@ main(int argc, char **argv)
 {
     using namespace scmp;
     auto options = bench::parseBenchArgs(argc, argv);
+    sweep::SweepExecutor executor(bench::sweepOptions(options));
 
     std::vector<int> channelCounts =
         options.config.getIntList("channels", {1, 2, 4}, 1);
@@ -55,7 +56,7 @@ main(int argc, char **argv)
     {
         auto workload = factory();
         workload->reseed(sweep::pointKey(base, workload->name(),
-                                         options.sweep.scale));
+                                         executor.options().scale));
         flat = runParallel(base, *workload);
     }
 
@@ -72,7 +73,7 @@ main(int argc, char **argv)
             }
         }
     }
-    auto points = DesignSpace::study(
+    auto points = executor.runStudy(
         factory, configs, {"mem", "channels", "banks", "memSched"});
 
     auto pointAt = [&](MemSched sched, int channels,

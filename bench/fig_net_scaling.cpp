@@ -29,6 +29,7 @@ main(int argc, char **argv)
 {
     using namespace scmp;
     auto options = bench::parseBenchArgs(argc, argv);
+    sweep::SweepExecutor executor(bench::sweepOptions(options));
 
     std::vector<int> clusterCounts =
         options.config.getIntList("clusters", {1, 2, 4, 8}, 1);
@@ -55,8 +56,8 @@ main(int argc, char **argv)
             configs.push_back(config);
         }
     }
-    auto points = DesignSpace::study(bench::barnesFactory(options),
-                                     configs, {"clusters", "net"});
+    auto points = executor.runStudy(bench::barnesFactory(options),
+                                    configs, {"clusters", "net"});
 
     auto pointAt = [&](NetTopology topology,
                        int clusters) -> const RunResult & {

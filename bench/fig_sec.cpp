@@ -3,7 +3,7 @@
  * Cache-isolation study: what does closing the shared-cache side
  * channel cost on this machine?
  *
- * Two halves, both through DesignSpace::study over
+ * Two halves, both through SweepExecutor::runStudy over
  * {none, waypart, color, rand} × {2, 4} security domains at a
  * fixed 4-way 64KB SCC (4 ways so way partitioning divides).
  *
@@ -125,6 +125,7 @@ int
 main(int argc, char **argv)
 {
     auto options = bench::parseBenchArgs(argc, argv);
+    sweep::SweepExecutor executor(bench::sweepOptions(options));
 
     const std::vector<IsolationMode> modes = {
         IsolationMode::None,
@@ -191,7 +192,7 @@ main(int argc, char **argv)
         CostReport cost;
         cost.workload = study.name;
         cost.points =
-            DesignSpace::study(study.factory, configs, axes);
+            executor.runStudy(study.factory, configs, axes);
         auto open = [](const MachineConfig &c) {
             return c.scc.sec.mode == IsolationMode::None;
         };
@@ -225,7 +226,7 @@ main(int argc, char **argv)
         return std::make_unique<secwork::PrimeProbeWorkload>(
             spyParams);
     };
-    auto channel = DesignSpace::study(spyFactory, configs, axes);
+    auto channel = executor.runStudy(spyFactory, configs, axes);
 
     Table table("Side channel: prime+probe 4x4, 64KB 4-way "
                 "SCC (8-symbol secret, differential probe "

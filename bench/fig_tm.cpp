@@ -4,7 +4,7 @@
  * on the shared-cache machine?
  *
  * Runs the STAMP-character workloads (src/workloads/tm) through
- * DesignSpace::study over {off, eager, lazy} × {atomic, split}
+ * SweepExecutor::runStudy over {off, eager, lazy} × {atomic, split}
  * × speculative set sizes. --tm=off executes the very same
  * transaction call sites as plain lock/unlock critical sections,
  * so its rows are the lock baseline the speedups are measured
@@ -29,6 +29,7 @@ main(int argc, char **argv)
 {
     using namespace scmp;
     auto options = bench::parseBenchArgs(argc, argv);
+    sweep::SweepExecutor executor(bench::sweepOptions(options));
 
     const std::vector<TmMode> modes = {TmMode::Off, TmMode::Eager,
                                        TmMode::Lazy};
@@ -95,8 +96,8 @@ main(int argc, char **argv)
     }
 
     for (const Study &study : studies) {
-        auto points = DesignSpace::study(study.factory, configs,
-                                         {"net", "tm", "tmEntries"});
+        auto points = executor.runStudy(study.factory, configs,
+                                        {"net", "tm", "tmEntries"});
 
         Table table(std::string("TM: ") + study.name +
                     " 4x4, 64KB SCC (speedup vs the --tm=off lock "

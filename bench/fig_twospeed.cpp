@@ -103,39 +103,39 @@ struct GridReport
 GridReport
 measureGrid(const char *figure, const char *workload,
             const DesignSpace::WorkloadFactory &factory,
-            const bench::BenchOptions &options)
+            const bench::GridAxes &axes,
+            const sweep::SweepOptions &options)
 {
     GridReport report;
     report.figure = figure;
     report.workload = workload;
-    report.points =
-        options.sccSizes.size() * options.clusterSizes.size();
+    report.points = axes.sccSizes.size() * axes.clusterSizes.size();
 
-    sweep::SweepOptions cycleOptions = options.sweep;
+    sweep::SweepOptions cycleOptions = options;
     cycleOptions.model = sweep::SweepModel::Cycle;
     cycleOptions.resultsPath.clear();
     cycleOptions.resume = false;
     sweep::SweepExecutor cycleExec(cycleOptions);
     DesignGrid cycleGrid =
-        cycleExec.run(factory, MachineConfig{}, options.sccSizes,
-                      options.clusterSizes);
+        cycleExec.run(factory, MachineConfig{}, axes.sccSizes,
+                      axes.clusterSizes);
     report.cycleMs = cycleExec.runStats().wallMs;
 
     sweep::SweepOptions analyticOptions = cycleOptions;
     analyticOptions.model = sweep::SweepModel::Analytic;
     sweep::SweepExecutor analyticExec(analyticOptions);
-    analyticExec.run(factory, MachineConfig{}, options.sccSizes,
-                     options.clusterSizes);
+    analyticExec.run(factory, MachineConfig{}, axes.sccSizes,
+                     axes.clusterSizes);
     report.profileMs = analyticExec.runStats().profileMs;
     report.analyticEvalMs = analyticExec.runStats().analyticMs;
 
     sweep::SweepOptions hybridOptions = cycleOptions;
     hybridOptions.model = sweep::SweepModel::Hybrid;
-    hybridOptions.topK = options.sweep.topK;
+    hybridOptions.topK = options.topK;
     sweep::SweepExecutor hybridExec(hybridOptions);
     DesignGrid hybridGrid =
-        hybridExec.run(factory, MachineConfig{}, options.sccSizes,
-                       options.clusterSizes);
+        hybridExec.run(factory, MachineConfig{}, axes.sccSizes,
+                       axes.clusterSizes);
     report.hybridMs = hybridExec.runStats().wallMs;
 
     report.top3Cycle = topPoints(cycleGrid, 3);
@@ -228,15 +228,14 @@ struct ServerReport
 };
 
 ServerReport
-measureServer(const bench::BenchOptions &options,
+measureServer(const sweep::SweepOptions &options,
               const server::ServerParams &params,
               const std::string &resultsPath)
 {
-    sweep::SweepOptions sweepOptions = options.sweep;
+    sweep::SweepOptions sweepOptions = options;
     sweepOptions.model = sweep::SweepModel::Hybrid;
     // Four frontier points x 250K requests = the 1M-request bar.
-    sweepOptions.topK =
-        options.sweep.topK > 0 ? options.sweep.topK : 4;
+    sweepOptions.topK = options.topK > 0 ? options.topK : 4;
     sweepOptions.scale = "server";
     sweepOptions.resultsPath = resultsPath;
     sweepOptions.resume = false;
@@ -351,6 +350,8 @@ main(int argc, char **argv)
 {
     using namespace scmp;
     auto options = bench::parseBenchArgs(argc, argv);
+    bench::GridAxes axes = bench::gridAxes(options);
+    sweep::SweepOptions sweepOptions = bench::sweepOptions(options);
     server::ServerParams serverParams;
     serverParams.requests = options.config.getIntAs<std::uint64_t>(
         "server-requests", 250'000);
@@ -362,10 +363,10 @@ main(int argc, char **argv)
     options.config.rejectUnread();
 
     std::vector<GridReport> grids = {
-        measureGrid("fig2", "barnes",
-                    bench::barnesFactory(options), options),
-        measureGrid("fig3", "mp3d", bench::mp3dFactory(options),
-                    options),
+        measureGrid("fig2", "barnes", bench::barnesFactory(options),
+                    axes, sweepOptions),
+        measureGrid("fig3", "mp3d", bench::mp3dFactory(options), axes,
+                    sweepOptions),
     };
 
     std::printf("Two-speed exploration (%s scale, %zu-point "
@@ -400,7 +401,7 @@ main(int argc, char **argv)
     }
 
     ServerReport server =
-        measureServer(options, serverParams, serverResults);
+        measureServer(sweepOptions, serverParams, serverResults);
     std::printf("\nserver hybrid sweep: %zu points, %zu-point "
                 "frontier replayed %llu requests in %.1f s\n",
                 server.points, server.frontier,
@@ -420,7 +421,7 @@ main(int argc, char **argv)
 
     if (!jsonPath.empty()) {
         writeJson(jsonPath, grids, golden, server,
-                  bench::scaleName(options.scale), options.sweep.jobs);
+                  bench::scaleName(options.scale), sweepOptions.jobs);
     }
     return 0;
 }

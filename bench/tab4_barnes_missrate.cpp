@@ -20,26 +20,26 @@ main(int argc, char **argv)
 {
     using namespace scmp;
     auto options = bench::parseBenchArgs(argc, argv);
+    bench::GridAxes axes = bench::gridAxes(options);
+    sweep::SweepExecutor executor(bench::sweepOptions(options));
     options.config.rejectUnread();
 
     // The paper's Table 4 uses exactly these three sizes.
     if (!options.config.has("sizes"))
-        options.sccSizes = {8ull << 10, 64ull << 10, 256ull << 10};
+        axes.sccSizes = {8ull << 10, 64ull << 10, 256ull << 10};
 
-    auto points = DesignSpace::sweep(
-        bench::barnesFactory(options), MachineConfig{},
-        options.sccSizes, options.clusterSizes);
+    DesignGrid points =
+        executor.run(bench::barnesFactory(options), MachineConfig{},
+                     axes.sccSizes, axes.clusterSizes);
 
     bench::emit(DesignSpace::missRateTable(
                     "Table 4: Barnes-Hut read miss rates",
-                    points, options.sccSizes,
-                    options.clusterSizes),
+                    points, axes.sccSizes, axes.clusterSizes),
                 options);
     bench::emit(DesignSpace::invalidationTable(
                     "Table 4 (supplement): invalidations actually "
                     "performed",
-                    points, options.sccSizes,
-                    options.clusterSizes),
+                    points, axes.sccSizes, axes.clusterSizes),
                 options);
     return 0;
 }

@@ -35,6 +35,7 @@ main(int argc, char **argv)
 {
     using namespace scmp;
     auto options = bench::parseBenchArgs(argc, argv);
+    obs::RecorderConfig obsConfig = obs::fromFlags(options.config);
     options.config.rejectUnread();
 
     cost::AreaModel area;
@@ -86,7 +87,8 @@ main(int argc, char **argv)
                     (double)runParallel(machine, *workload).cycles;
             } else {
                 cycles = (double)bench::multiprogPoint(
-                             spec.procs, spec.sccBytes, options)
+                             spec.procs, spec.sccBytes, options,
+                             obsConfig)
                              .cycles;
             }
             adjusted[c] =

@@ -19,9 +19,12 @@
  * Usage:
  *   compute_server [--procs=LIST] [--scc=LIST] [--requests=N]
  *                  [--load=X] [--arrival=open|closed] [--think=N]
- *                  [--model=cycle|analytic|hybrid]
- *                  [--topk=K] [--jobs=N|auto] [--results=FILE]
- *                  [--resume] [--progress] [--csv]
+ *                  [--csv] [sweep flags]
+ *
+ * The sweep flags are the executor's (sweep::fromFlags):
+ * --model=cycle|analytic|hybrid, --topk=K, --profile-shift=S,
+ * --jobs=N|auto, --results=FILE, --resume, --stats, --progress and
+ * the --obs flags.
  *
  * Examples:
  *   compute_server --requests=200000 --load=0.7
@@ -31,7 +34,6 @@
  */
 
 #include <cstdio>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -60,21 +62,7 @@ main(int argc, char **argv)
     std::vector<std::uint64_t> sccSizes =
         config.getSizeList("scc", {32ull << 10, 128ull << 10});
 
-    sweep::SweepOptions options;
-    options.jobs = config.getString("jobs", "") == "auto"
-                       ? 0
-                       : (int)config.getIntIn(
-                             "jobs", 1, 0,
-                             std::numeric_limits<int>::max());
-    options.model = config.getEnum("model", options.model);
-    options.topK = (int)config.getIntIn(
-        "topk", 0, 0, std::numeric_limits<int>::max());
-    options.resultsPath = config.getString("results", "");
-    options.resume = config.getBool("resume", false);
-    options.verbose = config.getBool("progress", false);
-    options.scale = "server";
-    fatal_if(options.resume && options.resultsPath.empty(),
-             "--resume needs --results=FILE");
+    sweep::SweepOptions options = sweep::fromFlags(config, "server");
     bool csv = config.getBool("csv", false);
     config.rejectUnread();
     setLogQuiet(!options.verbose);

@@ -7,17 +7,18 @@
  * Usage:
  *   design_space [barnes|mp3d|cholesky]
  *                [--quick] [--sizes=4K,64K,512K] [--procs=1,2,4,8]
- *                [--jobs=N] [--results=FILE] [--resume] [--stats]
+ *                [sweep flags]
  *
- * --jobs=N runs N design points concurrently (0 = one job per
- * hardware thread); --results persists every completed point to a
- * JSON-lines store and --resume skips points already in it, so an
- * interrupted paper-scale sweep restarts where it stopped.
+ * The sweep flags are the executor's (sweep::fromFlags), among them
+ * --jobs=N to run N design points concurrently (auto = one per
+ * hardware thread), --results=FILE to persist every completed point
+ * to a JSON-lines store and --resume to skip points already in it,
+ * so an interrupted paper-scale sweep restarts where it stopped.
+ * Per-point progress is always on.
  */
 
 #include <cstdio>
 #include <iostream>
-#include <limits>
 
 #include "core/design_space.hh"
 #include "sim/config.hh"
@@ -74,22 +75,14 @@ main(int argc, char **argv)
               "' (want barnes, mp3d or cholesky)");
     }
 
-    scmp::sweep::SweepOptions sweepOptions;
-    sweepOptions.jobs = (int)config.getIntIn(
-        "jobs", 1, 0, std::numeric_limits<int>::max());
-    sweepOptions.resultsPath = config.getString("results", "");
-    sweepOptions.resume = config.getBool("resume", false);
-    sweepOptions.attachStats = config.getBool("stats", false);
-    sweepOptions.scale = quick ? "quick" : "default";
+    scmp::sweep::SweepOptions sweepOptions =
+        scmp::sweep::fromFlags(config, quick ? "quick" : "default");
     sweepOptions.verbose = true;
-    if (sweepOptions.resume && sweepOptions.resultsPath.empty())
-        fatal("--resume needs --results=FILE");
     config.rejectUnread();
-    scmp::sweep::setDefaultSweepOptions(sweepOptions);
 
-    scmp::MachineConfig base;
+    scmp::sweep::SweepExecutor executor(sweepOptions);
     auto points =
-        scmp::DesignSpace::sweep(factory, base, sizes, procs, true);
+        executor.run(factory, scmp::MachineConfig{}, sizes, procs);
 
     scmp::DesignSpace::normalizedTimeTable(
         which + ": normalized execution time", points, sizes,

@@ -13,6 +13,7 @@
  *     [machine flags] [--check] [--stats] [--csv]
  *     [--obs[=FILE]] [--obs-interval=N] [--obs-series=FILE]
  *     [--obs-sec-sets=N]
+ *   (multiprog and fuzz print no statistics and refuse --stats)
  *   scmp_sim --list
  *     workload knobs:
  *       barnes:   [--bodies=N] [--steps=N] [--theta=X]
@@ -38,8 +39,9 @@
  * drives randomized sharing/false-sharing/eviction traffic at the
  * machine and prints its seed so failures replay with --seed=N.
  *
- * --obs attaches the observability recorder (src/obs): a Chrome
- * trace_event timeline (load the file in chrome://tracing or
+ * Any of --obs, --obs-series and --obs-interval attaches the
+ * observability recorder (src/obs; obs::fromFlags reads them): a
+ * Chrome trace_event timeline (load the file in chrome://tracing or
  * Perfetto), interval metrics (--obs-series CSV), and a per-phase
  * cycle-attribution table keyed on barrier epochs. Unknown flags
  * are an error: every flag must be one the selected workload or the
@@ -80,31 +82,18 @@ instrumentFromFlags(const Config &config, MachineConfig &machine)
 {
     machine.checkCoherence = config.getBool("check", false);
 
-    // Observability (src/obs). A bare --obs picks a default trace
-    // file name; --obs=FILE names it. --obs-series implies
-    // observation even without --obs.
-    if (config.has("obs")) {
-        std::string path = config.getString("obs");
-        machine.obs.enabled = true;
-        machine.obs.tracePath =
-            (path == "true" || path == "1") ? "scmp_trace.json"
-                                            : path;
-    }
-    if (config.has("obs-series")) {
-        machine.obs.enabled = true;
-        machine.obs.seriesPath = config.getString("obs-series");
-    }
-    if (config.has("obs-interval"))
-        machine.obs.intervalCycles = config.getSize("obs-interval");
+    // Observability (src/obs): --obs, --obs-series and
+    // --obs-interval through the one reader, plus the side-channel
+    // study's per-set gauges, which also turn the recorder on.
+    machine.obs = obs::fromFlags(config);
     if (config.has("obs-sec-sets")) {
         machine.obs.enabled = true;
         machine.obs.secSets = config.getIntAs<int>("obs-sec-sets", 0);
-    }
-    if (machine.obs.enabled) {
         if (machine.obs.intervalCycles == 0)
             machine.obs.intervalCycles = obs::defaultObsInterval;
-        machine.obs.printPhases = !config.getBool("csv", false);
     }
+    machine.obs.printPhases =
+        machine.obs.enabled && !config.getBool("csv", false);
 }
 
 /**
@@ -366,7 +355,6 @@ main(int argc, char **argv)
 
     MachineConfig machine = machineFromFlags(config);
     bool csv = config.getBool("csv", false);
-    bool stats = config.getBool("stats", false);
 
     // Every branch reads its workload's flags, then rejects any flag
     // nothing read before simulating: a typo silently ignored is a
@@ -432,6 +420,8 @@ main(int argc, char **argv)
         workload =
             std::make_unique<secwork::PrimeProbeWorkload>(params);
     }
+    // Only this branch dumps statistics, so only it reads --stats.
+    bool stats = config.getBool("stats", false);
     config.rejectUnread();
 
     auto result = runParallel(machine, *workload, nullptr,

@@ -74,16 +74,6 @@ main(int argc, char **argv)
                     (unsigned long long)engine.finishTime());
     }
 
-    auto suffixed = [](const std::string &file,
-                       const std::string &tag) {
-        if (file.empty())
-            return file;
-        std::size_t dot = file.find_last_of('.');
-        if (dot == std::string::npos)
-            return file + "-" + tag;
-        return file.substr(0, dot) + "-" + tag + file.substr(dot);
-    };
-
     // 2. Replay the one trace against a cache-size sweep.
     std::printf("\n%-10s %14s %12s %14s\n", "SCC", "cycles",
                 "rd-miss", "invalidations");
@@ -91,13 +81,7 @@ main(int argc, char **argv)
          {8ull << 10, 32ull << 10, 128ull << 10, 512ull << 10}) {
         MachineConfig replayConfig = recordConfig;
         replayConfig.scc.sizeBytes = scc;
-        if (obsConfig.enabled) {
-            replayConfig.obs = obsConfig;
-            replayConfig.obs.tracePath = suffixed(
-                obsConfig.tracePath, sizeString(scc));
-            replayConfig.obs.seriesPath = suffixed(
-                obsConfig.seriesPath, sizeString(scc));
-        }
+        replayConfig.obs = obs::tagPaths(obsConfig, sizeString(scc));
         Machine machine(replayConfig);
         TraceReader reader(path);
         auto result = replayTrace(machine, reader);

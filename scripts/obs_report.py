@@ -5,7 +5,8 @@ Chrome's trace viewer is the primary consumer of --obs traces, but a
 quick textual digest is often enough. Given a trace (and optionally
 an interval-metrics CSV from --obs-series), print:
 
-  * the recording ledger: events kept and dropped per source,
+  * the recording ledger: events kept and dropped per source, and
+    interval-series rows dropped past the row cap,
   * event counts and total duration per category/name pair,
   * the per-phase cycle attribution table embedded in the trace,
   * for the series: the busiest sampling intervals by bus traffic.
@@ -60,7 +61,8 @@ def ledger(trace):
           f" merges {scmp.get('mshr_merges', 0)}")
     drops = {k: v for k, v in scmp.get("dropped", {}).items() if v}
     if drops:
-        print(f"DROPPED (raise --obs cap / SCMP_OBS_CAP): {drops}")
+        print(f"DROPPED (events: raise SCMP_OBS_CAP; series rows:"
+              f" raise --obs-interval): {drops}")
 
 
 def phase_table(trace):

@@ -18,9 +18,6 @@ DesignSpace::paperClusterSizes()
     return {1, 2, 4, 8};
 }
 
-// DesignSpace::sweep is defined in src/sweep/sweep.cc so that the
-// core library does not depend on the host-parallel executor.
-
 std::uint64_t
 DesignGrid::coordKey(int cpusPerCluster, std::uint64_t sccBytes)
 {

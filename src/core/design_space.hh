@@ -1,17 +1,14 @@
 /**
  * @file
- * The processor–cache design-space sweep driver.
+ * The processor–cache design space: the paper's axes,
+ * {processors per cluster} x {SCC size}, the evaluated points and
+ * the grid that indexes them, and the normalization, speedup, miss
+ * rate and invalidation views behind the paper's Figures 2–4 and
+ * Tables 3–4.
  *
- * Runs a workload across {processors per cluster} x {SCC size},
- * producing the grids behind the paper's Figures 2–4 and Tables
- * 3–4, plus normalization and speedup views over those grids; and
- * runs the per-axis studies (interconnect, DRAM, consistency, TM,
- * isolation) as plain lists of machine configurations.
- *
- * Both execute through the src/sweep/ subsystem (a host-parallel
- * executor with a persistent result store); DesignSpace::sweep and
- * DesignSpace::study are declared here but defined in scmp_sweep,
- * so targets that sweep must link that library.
+ * The sweeps themselves (grids and the per-axis studies) run through
+ * sweep::SweepExecutor in src/sweep, a host-parallel executor with a
+ * persistent result store.
  */
 
 #ifndef SCMP_CORE_DESIGN_SPACE_HH
@@ -88,10 +85,11 @@ class DesignGrid
     std::unordered_map<std::uint64_t, std::size_t> _index;
 };
 
-/** Sweep driver and result views. */
+/** The paper's axes and the table views over a completed grid. */
 class DesignSpace
 {
   public:
+    /** Creates a fresh workload for each design point. */
     using WorkloadFactory =
         std::function<std::unique_ptr<ParallelWorkload>()>;
 
@@ -100,44 +98,6 @@ class DesignSpace
 
     /** The paper's cluster size axis: 1, 2, 4, 8. */
     static std::vector<int> paperClusterSizes();
-
-    /**
-     * Run the full grid through the sweep executor, honouring the
-     * process-wide sweep options (--jobs/--results/--resume; see
-     * sweep/sweep.hh). A fresh workload instance is created per
-     * point so state never leaks between runs. Defined in
-     * scmp_sweep.
-     *
-     * @param factory Creates the workload for each point.
-     * @param base    Machine configuration template; the sweep
-     *                overrides cpusPerCluster and scc.sizeBytes.
-     * @param sccSizes SCC size axis.
-     * @param clusterSizes processors-per-cluster axis.
-     * @param verbose  inform() progress per point.
-     */
-    static DesignGrid
-    sweep(const WorkloadFactory &factory, MachineConfig base,
-          const std::vector<std::uint64_t> &sccSizes,
-          const std::vector<int> &clusterSizes,
-          bool verbose = false);
-
-    /**
-     * Run one study: evaluate every configuration in @p configs
-     * cycle-accurately through the same executor, result store,
-     * resume and --jobs/--progress path as sweep(), honouring the
-     * process-wide sweep options. A configuration whose point key
-     * equals an earlier one's (an axis value that is inert for it,
-     * such as a TM set size under --tm=off) is evaluated once and
-     * not repeated in the result. Each stored record is tagged with
-     * the point's value on every axis named in @p axes (see
-     * taggedField() in core/design_fields.hh). Defined in scmp_sweep.
-     *
-     * @return One point per distinct configuration, in order.
-     */
-    static std::vector<DesignPoint>
-    study(const WorkloadFactory &factory,
-          const std::vector<MachineConfig> &configs,
-          const std::vector<std::string> &axes);
 
     /**
      * Figure 2/3/4 view: normalized execution time, one row per

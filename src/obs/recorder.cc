@@ -227,6 +227,11 @@ Recorder::finish(Cycle end)
     seal();
     _sampler.finish(end);
     _phases.finish(end);
+    if (_sampler.droppedRows()) {
+        warn("obs: the interval series dropped ",
+             _sampler.droppedRows(), " rows past its cap of ",
+             _config.seriesRowCap, " (the finish row is kept)");
+    }
 
     if (_config.captureSeries && _sampler.enabled())
         _seriesJson = _sampler.toJson();
@@ -261,7 +266,7 @@ applyEnv(RecorderConfig &config)
         if (std::string(value) != "1")
             config.tracePath = value;
         else if (config.tracePath.empty())
-            config.tracePath = "scmp_trace.json";
+            config.tracePath = defaultTracePath;
     }
 
     if (auto cycles = Config::envSize("SCMP_OBS_INTERVAL"))
@@ -297,6 +302,32 @@ fromFlags(const Config &flags, const char *trace)
                      flags.has("obs-interval");
     if (config.enabled && config.intervalCycles == 0)
         config.intervalCycles = defaultObsInterval;
+    return config;
+}
+
+namespace
+{
+
+std::string
+taggedPath(const std::string &path, const std::string &tag)
+{
+    if (path.empty())
+        return path;
+    std::size_t dot = path.find_last_of('.');
+    std::size_t slash = path.find_last_of('/');
+    if (dot == std::string::npos ||
+        (slash != std::string::npos && dot < slash))
+        return path + "-" + tag;
+    return path.substr(0, dot) + "-" + tag + path.substr(dot);
+}
+
+} // namespace
+
+RecorderConfig
+tagPaths(RecorderConfig config, const std::string &tag)
+{
+    config.tracePath = taggedPath(config.tracePath, tag);
+    config.seriesPath = taggedPath(config.seriesPath, tag);
     return config;
 }
 

@@ -46,6 +46,9 @@ namespace scmp::obs
 /** Default sampling interval when one is needed but unset. */
 inline constexpr Cycle defaultObsInterval = 100000;
 
+/** Trace file a bare --obs or SCMP_OBS=1 writes. */
+inline constexpr const char *defaultTracePath = "scmp_trace.json";
+
 /** Everything configurable about a Recorder. */
 struct RecorderConfig
 {
@@ -258,7 +261,15 @@ void applyEnv(RecorderConfig &config);
  * --obs-interval=N its sampling interval. Any of them turns the
  * recorder on, sampling every defaultObsInterval cycles by default.
  */
-RecorderConfig fromFlags(const Config &flags, const char *trace);
+RecorderConfig fromFlags(const Config &flags,
+                         const char *trace = defaultTracePath);
+
+/**
+ * @p config with "-" + @p tag inserted before the extension of each
+ * output path, so the recorders of several runs in one process
+ * write distinct files. Empty paths stay empty.
+ */
+RecorderConfig tagPaths(RecorderConfig config, const std::string &tag);
 
 } // namespace scmp::obs
 

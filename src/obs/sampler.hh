@@ -5,10 +5,11 @@
  * The sampler owns a list of named columns, each a closure reading
  * one cumulative counter (a stats:: scalar, a sum of several, or a
  * recorder-internal gauge). Every `interval` simulated cycles it
- * appends one row of cumulative values; a final row is taken at the
- * run's finish cycle, so the last row of every counter column equals
- * the whole-run statistic EXACTLY — the series always integrates
- * back to the end-of-run aggregates.
+ * appends one row of cumulative values, up to a row cap past which
+ * rows are counted as dropped. A final row is taken at the run's
+ * finish cycle, past the cap too, so the last row of every counter
+ * column equals the whole-run statistic EXACTLY — the series always
+ * integrates back to the end-of-run aggregates.
  *
  * Sampling is driven passively from the engine's dispatch loop: a
  * row for boundary B is taken at the first observation at-or-after
@@ -67,25 +68,40 @@ class IntervalSampler
 
     const std::vector<Column> &columns() const { return _columns; }
 
-    /** Emit a row for every boundary crossed up to @p now. */
+    /**
+     * Emit a row for every boundary crossed up to @p now; past the
+     * row cap, count it dropped instead.
+     */
     void
     tick(Cycle now)
     {
         while (_interval && now >= _nextBoundary) {
-            sampleAt(_nextBoundary);
+            if (_rows.size() < _rowCap)
+                _rows.push_back(rowAt(_nextBoundary));
+            else
+                ++_droppedRows;
             _nextBoundary += _interval;
         }
     }
 
-    /** Take the final row at the run's finish cycle. */
+    /**
+     * Take the final row at the run's finish cycle, which is at or
+     * after every tick. It is kept even past the row cap: its
+     * counters are the whole run's totals.
+     */
     void
     finish(Cycle end)
     {
         if (!_interval || _columns.empty())
             return;
         tick(end);
-        if (_rows.empty() || _rows.back().cycle != end)
-            sampleAt(end);
+        if (!_rows.empty() && _rows.back().cycle == end)
+            return;
+        // A finish cycle on a boundary lost that boundary's row to
+        // the cap in tick() above; this row takes its place.
+        if (end % _interval == 0)
+            --_droppedRows;
+        _rows.push_back(rowAt(end));
     }
 
     struct Row
@@ -108,19 +124,15 @@ class IntervalSampler
     std::string toJson() const;
 
   private:
-    void
-    sampleAt(Cycle boundary)
+    Row
+    rowAt(Cycle cycle) const
     {
-        if (_rows.size() >= _rowCap) {
-            ++_droppedRows;
-            return;
-        }
         Row row;
-        row.cycle = boundary;
+        row.cycle = cycle;
         row.values.reserve(_columns.size());
         for (const Column &column : _columns)
             row.values.push_back(column.read());
-        _rows.push_back(std::move(row));
+        return row;
     }
 
     Cycle _interval;

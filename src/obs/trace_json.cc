@@ -12,8 +12,9 @@
  * absolute units don't matter to the viewers.
  *
  * A top-level "scmp" key (ignored by the viewers) carries the drop
- * counters and the per-phase attribution so one file captures the
- * whole run's observability output.
+ * counters (events per source, and interval-series rows) and the
+ * per-phase attribution so one file captures the whole run's
+ * observability output.
  */
 
 #include <map>
@@ -254,6 +255,7 @@ Recorder::writeChromeTrace(std::ostream &os) const
         os << '"' << sourceName(source)
            << "\":" << ring(source).dropped();
     }
+    os << ",\"series\":" << _sampler.droppedRows();
     os << "},\"mshr_allocs\":" << _mshrAllocs
        << ",\"mshr_merges\":" << _mshrMerges;
     os << ",\"phases\":" << _phases.toJson();

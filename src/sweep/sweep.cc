@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <numeric>
 #include <optional>
 #include <sstream>
@@ -20,8 +21,6 @@ namespace scmp::sweep
 namespace
 {
 
-SweepOptions globalDefaults;
-
 using Clock = std::chrono::steady_clock;
 
 double
@@ -30,22 +29,6 @@ msSince(Clock::time_point start)
     return std::chrono::duration<double, std::milli>(
                Clock::now() - start)
         .count();
-}
-
-/**
- * Suffix an observability output path with a point's key (before
- * the extension) so concurrent workers write distinct files.
- */
-std::string
-pointedPath(const std::string &path, std::uint64_t key)
-{
-    std::string tag = "-" + keyHex(key);
-    std::size_t dot = path.find_last_of('.');
-    std::size_t slash = path.find_last_of('/');
-    if (dot == std::string::npos ||
-        (slash != std::string::npos && dot < slash))
-        return path + tag;
-    return path.substr(0, dot) + tag + path.substr(dot);
 }
 
 /**
@@ -65,16 +48,32 @@ analyticKey(std::uint64_t key)
 
 } // namespace
 
-void
-setDefaultSweepOptions(const SweepOptions &options)
+SweepOptions
+fromFlags(const Config &flags, std::string scale)
 {
-    globalDefaults = options;
-}
-
-const SweepOptions &
-defaultSweepOptions()
-{
-    return globalDefaults;
+    SweepOptions options;
+    options.jobs = flags.getString("jobs", "") == "auto"
+                       ? 0
+                       : (int)flags.getIntIn(
+                             "jobs", 1, 0,
+                             std::numeric_limits<int>::max());
+    options.model = flags.getEnum("model", options.model);
+    // Screen knobs are range-checked here, where the flag can still
+    // be named: a negative count would wrap to a huge unsigned one.
+    options.topK = (int)flags.getIntIn(
+        "topk", 0, 0, std::numeric_limits<int>::max());
+    options.profileSampleShift =
+        (std::uint32_t)flags.getIntIn("profile-shift", 0, 0, 31);
+    options.resultsPath = flags.getString("results", "");
+    options.resume = flags.getBool("resume", false);
+    fatal_if(options.resume && options.resultsPath.empty(),
+             "--resume needs --results=FILE");
+    options.attachStats = flags.getBool("stats", false);
+    options.verbose = flags.getBool("progress", false);
+    options.scale = std::move(scale);
+    options.obs = obs::fromFlags(flags);
+    options.obs.captureSeries = flags.has("obs-interval");
+    return options;
 }
 
 SweepExecutor::SweepExecutor(SweepOptions options)
@@ -152,16 +151,9 @@ SweepExecutor::execute(const DesignSpace::WorkloadFactory &factory,
                   pointKey(config, workloadName, _options.scale)};
         if (!seen.insert(task.key).second)
             continue;
-        if (_options.obs.enabled) {
-            obs::RecorderConfig obsConfig = _options.obs;
-            if (!obsConfig.tracePath.empty())
-                obsConfig.tracePath =
-                    pointedPath(obsConfig.tracePath, task.key);
-            if (!obsConfig.seriesPath.empty())
-                obsConfig.seriesPath =
-                    pointedPath(obsConfig.seriesPath, task.key);
-            task.config.obs = obsConfig;
-        }
+        if (_options.obs.enabled)
+            task.config.obs =
+                obs::tagPaths(_options.obs, keyHex(task.key));
         DesignPoint point;
         point.cpusPerCluster = config.cpusPerCluster;
         point.sccBytes = config.scc.sizeBytes;
@@ -393,32 +385,3 @@ SweepExecutor::execute(const DesignSpace::WorkloadFactory &factory,
 }
 
 } // namespace scmp::sweep
-
-namespace scmp
-{
-
-// Defined here (not in core/design_space.cc) so the core library
-// stays free of the executor; see the header comment.
-DesignGrid
-DesignSpace::sweep(const WorkloadFactory &factory,
-                   MachineConfig base,
-                   const std::vector<std::uint64_t> &sccSizes,
-                   const std::vector<int> &clusterSizes,
-                   bool verbose)
-{
-    sweep::SweepOptions options = sweep::defaultSweepOptions();
-    options.verbose = options.verbose || verbose;
-    sweep::SweepExecutor executor(options);
-    return executor.run(factory, base, sccSizes, clusterSizes);
-}
-
-std::vector<DesignPoint>
-DesignSpace::study(const WorkloadFactory &factory,
-                   const std::vector<MachineConfig> &configs,
-                   const std::vector<std::string> &axes)
-{
-    sweep::SweepExecutor executor(sweep::defaultSweepOptions());
-    return executor.runStudy(factory, configs, axes);
-}
-
-} // namespace scmp

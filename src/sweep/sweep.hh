@@ -28,6 +28,7 @@
 
 #include "core/design_space.hh"
 #include "obs/recorder.hh"
+#include "sim/config.hh"
 #include "sim/names.hh"
 #include "sweep/result_store.hh"
 
@@ -65,7 +66,7 @@ nameTable(SweepModel)
     return names;
 }
 
-/** Execution knobs for one sweep (--jobs/--results/--resume). */
+/** Execution knobs for one sweep (the flags' reader: fromFlags). */
 struct SweepOptions
 {
     /** Worker threads; 1 = serial, 0 = one per hardware thread. */
@@ -131,14 +132,13 @@ struct SweepRunStats
 };
 
 /**
- * Process-wide default options, set once by the bench/example
- * command-line plumbing so every DesignSpace::sweep call in the
- * binary honours --jobs/--results/--resume without threading the
- * options through each call site. Not thread-safe; set before
- * sweeping.
+ * The options the sweep flags ask for: --jobs=N|auto, --model,
+ * --topk, --profile-shift, --results=FILE, --resume (fatal without
+ * --results), --stats, --progress, and the --obs flags
+ * (obs::fromFlags; --obs-interval also keeps each point's series for
+ * the store). @p scale is mixed into every point key.
  */
-void setDefaultSweepOptions(const SweepOptions &options);
-const SweepOptions &defaultSweepOptions();
+SweepOptions fromFlags(const Config &flags, std::string scale);
 
 /**
  * Executor over a set of design points: a grid (run) or a study's
@@ -153,8 +153,10 @@ class SweepExecutor
     /**
      * Evaluate base x sccSizes x clusterSizes (cluster sizes outer,
      * like the serial sweep always did) and return the completed
-     * grid. May be called repeatedly; runStats() describes the most
-     * recent run.
+     * grid. Each point overrides base's cpusPerCluster and
+     * scc.sizeBytes and runs a fresh workload from @p factory. May be
+     * called repeatedly (each call reopens the result store);
+     * runStats() describes the most recent run.
      */
     DesignGrid run(const DesignSpace::WorkloadFactory &factory,
                    MachineConfig base,
@@ -166,7 +168,10 @@ class SweepExecutor
      * (whatever options().model says: the analytic screen models
      * only the procs x SCC grid), tagging each stored record with
      * its value on every axis in @p axes (tag names, see
-     * taggedField()). See DesignSpace::study.
+     * taggedField() in core/design_fields.hh). A configuration whose
+     * point key equals an earlier one's (an axis value that is inert
+     * for it, such as a TM set size under --tm=off) is evaluated
+     * once and not repeated in the result.
      *
      * @return One point per distinct point key, in order.
      */

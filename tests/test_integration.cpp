@@ -9,6 +9,7 @@
 
 #include "core/design_space.hh"
 #include "core/parallel_run.hh"
+#include "sweep/sweep.hh"
 #include "workloads/splash/barnes.hh"
 #include "workloads/splash/mp3d.hh"
 
@@ -117,8 +118,8 @@ TEST(Integration, SweepCoversTheGrid)
     };
     std::vector<std::uint64_t> sizes{8 << 10, 64 << 10};
     std::vector<int> procs{1, 2};
-    auto points =
-        DesignSpace::sweep(factory, MachineConfig{}, sizes, procs);
+    auto points = sweep::SweepExecutor({}).run(factory, MachineConfig{},
+                                               sizes, procs);
     ASSERT_EQ(points.size(), 4u);
     for (auto &point : points) {
         EXPECT_TRUE(point.result.verified);
@@ -141,8 +142,8 @@ TEST(Integration, TablesHaveTheRightShape)
     };
     std::vector<std::uint64_t> sizes{8 << 10, 64 << 10};
     std::vector<int> procs{1, 2};
-    auto points =
-        DesignSpace::sweep(factory, MachineConfig{}, sizes, procs);
+    auto points = sweep::SweepExecutor({}).run(factory, MachineConfig{},
+                                               sizes, procs);
 
     auto normalized = DesignSpace::normalizedTimeTable(
         "t", points, sizes, procs);

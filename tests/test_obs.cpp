@@ -357,6 +357,80 @@ TEST(Recorder, SeriesIntegratesBackToWholeRunStats)
               result.invalidations);
 }
 
+TEST(IntervalSampler, FinishRowOutlivesTheRowCap)
+{
+    std::uint64_t counter = 0;
+    // Finish on a boundary: boundaries 4..9 are dropped, and the
+    // finish row takes boundary 10's place.
+    obs::IntervalSampler onBoundary(1, 4);
+    onBoundary.addColumn({"n", [&] { return counter; }, true});
+    for (counter = 0; counter <= 10; ++counter)
+        onBoundary.tick(counter);
+    counter = 10;
+    onBoundary.finish(10);
+    ASSERT_EQ(onBoundary.rows().size(), 5u);
+    EXPECT_EQ(onBoundary.rows().back().cycle, 10u);
+    EXPECT_EQ(onBoundary.rows().back().values[0], 10u);
+    EXPECT_EQ(onBoundary.droppedRows(), 6u);
+
+    // Finish between boundaries: 4 and 6 are dropped.
+    obs::IntervalSampler between(2, 2);
+    between.addColumn({"n", [&] { return counter; }, true});
+    between.tick(7);
+    between.finish(7);
+    ASSERT_EQ(between.rows().size(), 3u);
+    EXPECT_EQ(between.rows().back().cycle, 7u);
+    EXPECT_EQ(between.droppedRows(), 2u);
+}
+
+TEST(Recorder, TinySeriesCapKeepsTheFinishRow)
+{
+    std::string tracePath = tempPath("obs_series_capped_trace.json");
+    obs::RecorderConfig obsConfig;
+    obsConfig.enabled = true;
+    obsConfig.tracePath = tracePath;
+    obsConfig.intervalCycles = 64;
+    obsConfig.seriesRowCap = 4;
+    obsConfig.captureSeries = true;
+    RunResult result = runPoint(obsConfig);
+    ASSERT_GT(result.cycles, 64u * 8);
+
+    // Four boundary rows fit under the cap. The finish row is kept
+    // past it, so the series still ends at the run's totals.
+    sweep::Json series = parsed(result.obsSeries);
+    const auto &columns = series.find("columns")->asArray();
+    const auto &rows = series.find("rows")->asArray();
+    ASSERT_EQ(rows.size(), 5u);
+    EXPECT_EQ(rows.back().asArray()[0].asU64(), result.cycles);
+    for (std::size_t i = 0; i < columns.size(); ++i) {
+        if (columns[i].asString() == "busTransactions") {
+            EXPECT_EQ(rows.back().asArray()[i].asU64(),
+                      result.busTransactions);
+        }
+    }
+
+    // Every boundary row the cap dropped is in the trailer's ledger.
+    sweep::Json doc = parsed(slurp(tracePath));
+    std::remove(tracePath.c_str());
+    const sweep::Json *dropped = doc.find("scmp")->find("dropped");
+    ASSERT_NE(dropped->find("series"), nullptr);
+    std::uint64_t boundaries = result.cycles / 64 + 1;
+    std::uint64_t keptBoundaries = result.cycles % 64 ? 4 : 5;
+    EXPECT_EQ(dropped->find("series")->asU64(),
+              boundaries - keptBoundaries);
+}
+
+TEST(Recorder, TagPathsSuffixBeforeTheExtension)
+{
+    obs::RecorderConfig config;
+    config.tracePath = "out/run.trace.json";
+    config.seriesPath = "out.d/series";
+    obs::RecorderConfig tagged = obs::tagPaths(config, "1P-4KB");
+    EXPECT_EQ(tagged.tracePath, "out/run.trace-1P-4KB.json");
+    EXPECT_EQ(tagged.seriesPath, "out.d/series-1P-4KB");
+    EXPECT_EQ(obs::tagPaths({}, "1P-4KB").tracePath, "");
+}
+
 TEST(Recorder, EnvAttachMirrorsScmpCheck)
 {
     obs::RecorderConfig config;

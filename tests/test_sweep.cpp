@@ -514,6 +514,33 @@ TEST(ResultStore, PartialFinalRecordIsDiscarded)
     std::remove(path.c_str());
 }
 
+TEST(Sweep, FromFlagsReadsEveryExecutorFlag)
+{
+    const char *argv[] = {"bench",          "--jobs=auto",
+                          "--model=hybrid", "--topk=3",
+                          "--profile-shift=2", "--results=r.jsonl",
+                          "--resume",       "--stats",
+                          "--progress",     "--obs-interval=500"};
+    Config flags;
+    flags.parseArgs((int)std::size(argv), const_cast<char **>(argv));
+    sweep::SweepOptions options = sweep::fromFlags(flags, "quick");
+    EXPECT_EQ(options.jobs, 0);
+    EXPECT_EQ(options.model, sweep::SweepModel::Hybrid);
+    EXPECT_EQ(options.topK, 3);
+    EXPECT_EQ(options.profileSampleShift, 2u);
+    EXPECT_EQ(options.resultsPath, "r.jsonl");
+    EXPECT_TRUE(options.resume);
+    EXPECT_TRUE(options.attachStats);
+    EXPECT_TRUE(options.verbose);
+    EXPECT_EQ(options.scale, "quick");
+    // --obs-interval alone attaches the recorder and keeps each
+    // point's series for the store.
+    EXPECT_TRUE(options.obs.enabled);
+    EXPECT_TRUE(options.obs.captureSeries);
+    EXPECT_EQ(options.obs.intervalCycles, 500u);
+    flags.rejectUnread();  // fatal if any flag above went unread
+}
+
 TEST(Sweep, ParallelIsBitIdenticalToSerial)
 {
     sweep::SweepOptions serialOptions;
