@@ -126,14 +126,17 @@ gridAxes(const BenchOptions &options)
     return axes;
 }
 
-/** The sweep options the flags ask for (sweep::fromFlags). */
+/**
+ * The sweep options the flags ask for (sweep::fromFlags); with
+ * --progress the logs are on.
+ */
 inline sweep::SweepOptions
 sweepOptions(const BenchOptions &options)
 {
-    sweep::SweepOptions sweep =
+    sweep::SweepOptions sweepFlags =
         sweep::fromFlags(options.config, scaleName(options.scale));
-    setLogQuiet(!sweep.verbose);
-    return sweep;
+    setLogQuiet(!sweepFlags.verbose);
+    return sweepFlags;
 }
 
 /** Emit a table (and optionally CSV) to stdout. */
