@@ -298,6 +298,7 @@ fromFlags(const Config &flags, const char *trace)
     }
     config.seriesPath = flags.getString("obs-series", "");
     config.intervalCycles = flags.getSize("obs-interval", 0);
+    config.captureSeries = flags.has("obs-interval");
     config.enabled = flags.has("obs") || flags.has("obs-series") ||
                      flags.has("obs-interval");
     if (config.enabled && config.intervalCycles == 0)

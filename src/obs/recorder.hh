@@ -258,8 +258,10 @@ void applyEnv(RecorderConfig &config);
 /**
  * The recorder the --obs flags ask for: --obs[=FILE] a trace (to
  * @p trace when bare), --obs-series=FILE the interval series as CSV,
- * --obs-interval=N its sampling interval. Any of them turns the
- * recorder on, sampling every defaultObsInterval cycles by default.
+ * --obs-interval=N its sampling interval, and the series kept for
+ * the caller (captureSeries: a sweep stores it per point). Any of
+ * them turns the recorder on, sampling every defaultObsInterval
+ * cycles by default.
  */
 RecorderConfig fromFlags(const Config &flags,
                          const char *trace = defaultTracePath);

@@ -72,7 +72,6 @@ fromFlags(const Config &flags, std::string scale)
     options.verbose = flags.getBool("progress", false);
     options.scale = std::move(scale);
     options.obs = obs::fromFlags(flags);
-    options.obs.captureSeries = flags.has("obs-interval");
     return options;
 }
 

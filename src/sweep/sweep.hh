@@ -135,7 +135,7 @@ struct SweepRunStats
  * The options the sweep flags ask for: --jobs=N|auto, --model,
  * --topk, --profile-shift, --results=FILE, --resume (fatal without
  * --results), --stats, --progress, and the --obs flags
- * (obs::fromFlags; --obs-interval also keeps each point's series for
+ * (obs::fromFlags; with --obs-interval each point's series lands in
  * the store). @p scale is mixed into every point key.
  */
 SweepOptions fromFlags(const Config &flags, std::string scale);
