@@ -126,10 +126,7 @@ gridAxes(const BenchOptions &options)
     return axes;
 }
 
-/**
- * The sweep options the flags ask for (sweep::fromFlags); with
- * --progress the logs are on.
- */
+/** sweep::fromFlags for this bench; --progress turns the logs on. */
 inline sweep::SweepOptions
 sweepOptions(const BenchOptions &options)
 {

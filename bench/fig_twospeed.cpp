@@ -131,7 +131,6 @@ measureGrid(const char *figure, const char *workload,
 
     sweep::SweepOptions hybridOptions = cycleOptions;
     hybridOptions.model = sweep::SweepModel::Hybrid;
-    hybridOptions.topK = options.topK;
     sweep::SweepExecutor hybridExec(hybridOptions);
     DesignGrid hybridGrid =
         hybridExec.run(factory, MachineConfig{}, axes.sccSizes,
