@@ -1,5 +1,5 @@
 # Shared by the fixture checks run in CMake script mode
-# (study_fixture.cmake, cli_fixture.cmake).
+# (study_fixture.cmake, cli_fixture.cmake, bench_fixture.cmake).
 
 # Fail unless @expected equals @actual, reporting the first
 # differing line so a failure names the point or run.
