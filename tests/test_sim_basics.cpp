@@ -129,6 +129,19 @@ TEST(ConfigDeath, UnreadKeyIsRejected)
     config.rejectUnread();
 }
 
+TEST(ConfigDeath, EveryUnreadKeyIsNamedAtOnce)
+{
+    // Several stray flags are refused in one message, in key order,
+    // rather than one per run.
+    Config config;
+    config.set("quick", true);
+    config.set("obs", std::string("ap.json"));
+    config.set("model", std::string("hybrid"));
+    config.getBool("quick");
+    EXPECT_EXIT(config.rejectUnread(), ::testing::ExitedWithCode(1),
+                "unknown flags '--model', '--obs'");
+}
+
 TEST(Config, GetEnum)
 {
     Config config;
