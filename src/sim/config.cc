@@ -209,8 +209,13 @@ Config::rejectValue(const std::string &key, const std::string &choices,
 void
 Config::rejectUnread() const
 {
-    for (const auto &[key, value] : _entries)
-        fatal_if(!_read.count(key), "unknown flag '--", key, "'");
+    std::string unread;
+    int count = 0;
+    for (const auto &[key, value] : _entries) {
+        if (!_read.count(key))
+            unread += (count++ ? ", '--" : "'--") + key + "'";
+    }
+    fatal_if(count, "unknown flag", count > 1 ? "s " : " ", unread);
 }
 
 std::uint64_t

@@ -107,7 +107,7 @@ class Config
     std::vector<std::string> parseArgs(int argc, char **argv);
 
     /**
-     * Fatal naming the first key that was set but never read. Call
+     * Fatal naming every key that was set but never read. Call
      * after the last read and before any work, so a mistyped flag
      * stops the run instead of being silently ignored.
      */
