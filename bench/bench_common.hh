@@ -243,6 +243,13 @@ multiprogRefs(const BenchOptions &options)
     return 4'000'000;
 }
 
+/** A design point's tag in observability file names: "2P-32KB". */
+inline std::string
+pointTag(int procs, std::uint64_t sccBytes)
+{
+    return std::to_string(procs) + "P-" + sizeString(sccBytes);
+}
+
 /**
  * Run the multiprogramming workload at one design point, observed
  * as @p obsConfig asks (obs::fromFlags), its files tagged with the
@@ -257,12 +264,27 @@ multiprogPoint(int procs, std::uint64_t sccBytes,
     machine.cpusPerCluster = procs;
     machine.scc.sizeBytes = sccBytes;
     machine.icache.enabled = true;
-    machine.obs = obs::tagPaths(
-        obsConfig, std::to_string(procs) + "P-" + sizeString(sccBytes));
+    machine.obs = obs::tagPaths(obsConfig, pointTag(procs, sccBytes));
 
     MultiprogParams params;
     params.totalRefs = multiprogRefs(options);
     return runMultiprog(machine, spec::makeSpecWorkload(), params);
+}
+
+/**
+ * Run the parallel workload @p factory makes at one design point,
+ * observed as @p obsConfig asks, its files tagged with the point.
+ */
+inline RunResult
+splashPoint(const DesignSpace::WorkloadFactory &factory, int procs,
+            std::uint64_t sccBytes, const obs::RecorderConfig &obsConfig)
+{
+    MachineConfig machine;
+    machine.cpusPerCluster = procs;
+    machine.scc.sizeBytes = sccBytes;
+    machine.obs = obs::tagPaths(obsConfig, pointTag(procs, sccBytes));
+    auto workload = factory();
+    return runParallel(machine, *workload);
 }
 
 } // namespace scmp::bench

@@ -53,16 +53,17 @@ main(int argc, char **argv)
     struct BenchmarkSpec
     {
         std::string name;
+        std::string tag;  // in observability file names
         InstrMix mix;
         DesignSpace::WorkloadFactory factory;  // null → multiprog
     };
     BenchmarkSpec benchmarks[] = {
-        {"Barnes-Hut", InstrMix::barnes(),
+        {"Barnes-Hut", "barnes", InstrMix::barnes(),
          bench::barnesFactory(options)},
-        {"MP3D", InstrMix::mp3d(), bench::mp3dFactory(options)},
-        {"Cholesky", InstrMix::cholesky(),
+        {"MP3D", "mp3d", InstrMix::mp3d(), bench::mp3dFactory(options)},
+        {"Cholesky", "cholesky", InstrMix::cholesky(),
          bench::choleskyFactory(options)},
-        {"Multiprogramming", InstrMix::multiprogramming(),
+        {"Multiprogramming", "multiprog", InstrMix::multiprogramming(),
          nullptr},
     };
 
@@ -74,21 +75,20 @@ main(int argc, char **argv)
     double speedupSum = 0;
     int speedupCount = 0;
     for (auto &benchmark : benchmarks) {
+        obs::RecorderConfig rowObs =
+            obs::tagPaths(obsConfig, benchmark.tag);
         double adjusted[2];
         for (int c = 0; c < 2; ++c) {
             const ConfigSpec &spec = specs[c];
             double cycles;
             if (benchmark.factory) {
-                MachineConfig machine;
-                machine.cpusPerCluster = spec.procs;
-                machine.scc.sizeBytes = spec.sccBytes;
-                auto workload = benchmark.factory();
-                cycles =
-                    (double)runParallel(machine, *workload).cycles;
+                cycles = (double)bench::splashPoint(
+                             benchmark.factory, spec.procs,
+                             spec.sccBytes, rowObs)
+                             .cycles;
             } else {
                 cycles = (double)bench::multiprogPoint(
-                             spec.procs, spec.sccBytes, options,
-                             obsConfig)
+                             spec.procs, spec.sccBytes, options, rowObs)
                              .cycles;
             }
             adjusted[c] =
