@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <condition_variable>
+#include <exception>
+#include <mutex>
+#include <thread>
 
 #include "sim/logging.hh"
 
@@ -20,6 +24,13 @@ mix64(std::uint64_t x)
     x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
     x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
     return x ^ (x >> 31);
+}
+
+/** Does SHARDS at @p sampleShift track @p line? */
+bool
+sampled(std::uint64_t line, std::uint32_t sampleShift)
+{
+    return !sampleShift || (mix64(line) >> (64 - sampleShift)) == 0;
 }
 
 /** Slots of a fresh stack, and the fewest a compaction leaves. */
@@ -321,8 +332,472 @@ BasicStackDistance<Line>::access(std::uint64_t line, Line *&record)
     return distance;
 }
 
+template <typename Line>
+std::uint64_t
+BasicStackDistance<Line>::access(std::uint64_t line)
+{
+    Line *record;
+    return access(line, record);
+}
+
 template class BasicStackDistance<StackSlot>;
-template class BasicStackDistance<ReuseProfiler::MachineLine>;
+
+/** One queued reference: 16 bytes, so a chunk is 256 KiB. */
+struct ReuseProfiler::Ref
+{
+    Addr addr;
+    std::int16_t cpu;
+    bool write;
+};
+
+/**
+ * The ring of chunks and the three scope workers. Each handoff is a
+ * Stage, guarded by its own mutex. The producer's fields, each
+ * stage and each worker's stack state start on their own cache
+ * lines, and each worker builds its stacks on its own thread, so no
+ * thread's per-reference writes land on a line another one reads.
+ */
+class ReuseProfiler::Pipeline
+{
+  public:
+    explicit Pipeline(const ProfilerConfig &config);
+    ~Pipeline();
+
+    Pipeline(const Pipeline &) = delete;
+    Pipeline &operator=(const Pipeline &) = delete;
+
+    /** The chunk the producer fills first. */
+    Ref *first() { return _refs.data(); }
+
+    /**
+     * Hand the chunk being filled, holding @p count references, to
+     * the workers; returns the next chunk once they are done with
+     * its previous contents.
+     */
+    Ref *publish(std::size_t count);
+
+    /** publish(), then wait for the workers to finish every chunk. */
+    Ref *drain(std::size_t count);
+
+    /** Rethrow a worker's exception, else copy out its histograms. */
+    void collect(ReuseProfile &profile) const;
+
+  private:
+    /** Flag bits the machine worker writes per reference and line. */
+    static constexpr std::uint8_t trackedBit = 1;      //!< SHARDS keeps it
+    static constexpr std::uint8_t clusterStaleBit = 2; //!< see MachineLine
+    static constexpr std::uint8_t cpuStaleBit = 4;
+
+    /** References a worker looks ahead to prefetch a line record. */
+    static constexpr std::size_t prefetchAhead = 4;
+
+    /** Chunks one side of a handoff has finished. */
+    struct alignas(64) Stage
+    {
+        std::mutex mutex;
+        std::condition_variable advanced;
+        std::uint64_t done = 0; //!< guarded by mutex
+        bool closed = false;    //!< no chunk follows: guarded by mutex
+
+        /** Wait for chunk @p k; false if the stage closed first. */
+        bool
+        waitPast(std::uint64_t k)
+        {
+            std::unique_lock lock(mutex);
+            advanced.wait(lock, [&] { return done > k || closed; });
+            return done > k;
+        }
+
+        void
+        advance()
+        {
+            {
+                std::lock_guard lock(mutex);
+                ++done;
+            }
+            advanced.notify_all();
+        }
+
+        void
+        close()
+        {
+            {
+                std::lock_guard lock(mutex);
+                closed = true;
+            }
+            advanced.notify_all();
+        }
+    };
+
+    /**
+     * The machine scope's line record: the line's time slot plus
+     * its write-invalidate sharing state. Two processor bitmasks
+     * decide, for any grouping, whether an access finds the
+     * group's copy invalidated by a remote write: the group held
+     * the line before (`ever` intersects the group) but no member
+     * touched it since the last write (`sinceWrite` misses the
+     * group) and the writer is remote.
+     */
+    struct MachineLine
+    {
+        std::uint64_t ever = 0;
+        std::uint64_t sinceWrite = 0;
+        std::uint32_t slot = 0;
+        std::int16_t lastWriter = -1;
+    };
+
+    /** What every worker keeps besides its stacks. */
+    struct Worker
+    {
+        std::uint32_t sampleShift = 0;
+        std::exception_ptr error; //!< the first thing that failed
+
+        /** Count one reference at distance @p d into @p scope. */
+        void
+        record(ScopeProfile &scope, bool write, std::uint64_t d,
+               bool stale) const
+        {
+            ReuseHistogram &hist = write ? scope.writes : scope.reads;
+            std::uint64_t weight = 1ull << sampleShift;
+            if (d == StackDistance::coldDistance)
+                hist.addCold(weight);
+            else if (stale)
+                hist.addCoherence(weight);
+            else
+                hist.addDistance(d << sampleShift, weight);
+        }
+    };
+
+    /**
+     * The machine scope, one stack per line size, whose records
+     * also carry the sharing masks, so one probe serves both. For
+     * each reference it writes the flag bits the other two read.
+     */
+    struct alignas(64) MachineWorker : Worker
+    {
+        struct Scope
+        {
+            std::uint32_t lineShift = 0;
+            BasicStackDistance<MachineLine> stack;
+            ScopeProfile profile;
+        };
+        std::vector<Scope> scopes;
+        std::array<std::uint64_t, 64> clusterBits{}; //!< per cpu
+        std::array<std::uint8_t, 64> clusterOf{};    //!< per cpu
+
+        void start(const ProfilerConfig &config);
+        void process(const Ref *refs, std::uint8_t *flags,
+                     std::size_t count);
+        void collect(ReuseProfile &profile) const;
+    };
+
+    /**
+     * The cluster or the CPU scope: one stack per group of
+     * processors and line size.
+     */
+    struct alignas(64) GroupWorker : Worker
+    {
+        /** Where the groups' profiles go in a LineProfile. */
+        using Output = std::vector<ScopeProfile> LineProfile::*;
+
+        GroupWorker(int cpusPerGroup, std::uint8_t staleBit,
+                    Output output)
+            : cpusPerGroup(cpusPerGroup), staleBit(staleBit),
+              output(output)
+        {
+        }
+
+        struct Scopes
+        {
+            std::uint32_t lineShift = 0;
+            std::vector<StackDistance> stacks;
+            std::vector<ScopeProfile> profiles;
+        };
+        const int cpusPerGroup;
+        const std::uint8_t staleBit;
+        const Output output;
+        std::vector<Scopes> scopes;
+        std::array<std::uint8_t, 64> groupOf{}; //!< per cpu
+
+        void start(const ProfilerConfig &config);
+        void process(const Ref *refs, const std::uint8_t *flags,
+                     std::size_t count);
+        void collect(ReuseProfile &profile) const;
+    };
+
+    /** One worker's thread: set up, then chunks from @p in on. */
+    template <typename W>
+    void work(W &worker, Stage &in, Stage &out);
+    void stop();
+
+    const ProfilerConfig _config;
+    const std::size_t _lineCount;
+    std::vector<Ref> _refs;           //!< ringChunks x chunkRefs
+    std::vector<std::uint8_t> _flags; //!< ... x line sizes
+
+    /** Written by the producer only. */
+    struct alignas(64)
+    {
+        std::uint64_t published = 0;
+        /** References per chunk slot, set before publishing it. */
+        std::array<std::size_t, ringChunks> sizes{};
+    } _producer;
+
+    Stage _produced;
+    Stage _machineDone;
+    Stage _clusterDone;
+    Stage _cpuDone;
+    MachineWorker _machine;
+    GroupWorker _cluster;
+    GroupWorker _cpu;
+
+    /** Last, so the threads stop before what they use goes. */
+    std::vector<std::thread> _threads;
+};
+
+void
+ReuseProfiler::Pipeline::MachineWorker::start(
+    const ProfilerConfig &config)
+{
+    sampleShift = config.sampleShift;
+    for (std::uint32_t lineBytes : config.lineSizes) {
+        Scope &scope = scopes.emplace_back();
+        scope.lineShift = (std::uint32_t)std::countr_zero(lineBytes);
+    }
+    int per = config.cpusPerCluster;
+    std::uint64_t bits = per >= 64 ? ~0ull : (1ull << per) - 1;
+    for (int cpu = 0; cpu < config.numClusters * per; ++cpu) {
+        clusterOf[(std::size_t)cpu] = (std::uint8_t)(cpu / per);
+        clusterBits[(std::size_t)cpu] = bits << (cpu / per * per);
+    }
+}
+
+void
+ReuseProfiler::Pipeline::MachineWorker::process(const Ref *refs,
+                                                std::uint8_t *flags,
+                                                std::size_t count)
+{
+    std::size_t lines = scopes.size();
+    for (std::size_t i = 0; i < count; ++i, flags += lines) {
+        if (i + prefetchAhead < count) {
+            Addr ahead = refs[i + prefetchAhead].addr;
+            for (Scope &scope : scopes) {
+                std::uint64_t line = ahead >> scope.lineShift;
+                if (sampled(line, sampleShift))
+                    scope.stack.prefetch(line);
+            }
+        }
+        const Ref &ref = refs[i];
+        std::size_t cpu = (std::size_t)ref.cpu;
+        for (std::size_t l = 0; l < lines; ++l) {
+            Scope &scope = scopes[l];
+            std::uint64_t line = ref.addr >> scope.lineShift;
+            if (!sampled(line, sampleShift)) {
+                flags[l] = 0;
+                continue;
+            }
+            MachineLine *sh;
+            record(scope.profile, ref.write,
+                   scope.stack.access(line, sh), false);
+
+            // Write-invalidate sharing state. A group's copy is
+            // stale when the group held the line, nobody in it
+            // touched it since the last write, and that writer is
+            // outside the group — a sure miss regardless of reuse
+            // distance. The machine scope (one shared cache) never
+            // pays coherence.
+            std::uint64_t cpuBit = 1ull << cpu;
+            std::uint64_t clBits = clusterBits[cpu];
+            bool written = sh->lastWriter >= 0;
+            bool cpuStale = written && sh->lastWriter != ref.cpu &&
+                            (sh->ever & cpuBit) &&
+                            !(sh->sinceWrite & cpuBit);
+            bool clusterStale =
+                written &&
+                clusterOf[(std::size_t)sh->lastWriter] !=
+                    clusterOf[cpu] &&
+                (sh->ever & clBits) && !(sh->sinceWrite & clBits);
+            sh->ever |= cpuBit;
+            if (ref.write) {
+                sh->lastWriter = ref.cpu;
+                sh->sinceWrite = cpuBit;
+            } else {
+                sh->sinceWrite |= cpuBit;
+            }
+            flags[l] = trackedBit |
+                       (clusterStale ? clusterStaleBit : 0) |
+                       (cpuStale ? cpuStaleBit : 0);
+        }
+    }
+}
+
+void
+ReuseProfiler::Pipeline::MachineWorker::collect(
+    ReuseProfile &profile) const
+{
+    for (std::size_t l = 0; l < scopes.size(); ++l)
+        profile.lines[l].machine = scopes[l].profile;
+}
+
+void
+ReuseProfiler::Pipeline::GroupWorker::start(
+    const ProfilerConfig &config)
+{
+    sampleShift = config.sampleShift;
+    int cpus = config.numClusters * config.cpusPerCluster;
+    std::size_t groups = (std::size_t)(cpus / cpusPerGroup);
+    for (std::uint32_t lineBytes : config.lineSizes) {
+        Scopes &scope = scopes.emplace_back();
+        scope.lineShift = (std::uint32_t)std::countr_zero(lineBytes);
+        scope.stacks.resize(groups);
+        scope.profiles.resize(groups);
+    }
+    for (int cpu = 0; cpu < cpus; ++cpu)
+        groupOf[(std::size_t)cpu] = (std::uint8_t)(cpu / cpusPerGroup);
+}
+
+void
+ReuseProfiler::Pipeline::GroupWorker::process(
+    const Ref *refs, const std::uint8_t *flags, std::size_t count)
+{
+    std::size_t lines = scopes.size();
+    for (std::size_t i = 0; i < count; ++i, flags += lines) {
+        if (i + prefetchAhead < count) {
+            const Ref &ahead = refs[i + prefetchAhead];
+            const std::uint8_t *aheadFlags =
+                flags + prefetchAhead * lines;
+            std::size_t group = groupOf[(std::size_t)ahead.cpu];
+            for (std::size_t l = 0; l < lines; ++l) {
+                if (aheadFlags[l])
+                    scopes[l].stacks[group].prefetch(
+                        ahead.addr >> scopes[l].lineShift);
+            }
+        }
+        const Ref &ref = refs[i];
+        std::size_t group = groupOf[(std::size_t)ref.cpu];
+        for (std::size_t l = 0; l < lines; ++l) {
+            if (!flags[l])
+                continue;
+            Scopes &scope = scopes[l];
+            record(scope.profiles[group], ref.write,
+                   scope.stacks[group].access(ref.addr >>
+                                              scope.lineShift),
+                   flags[l] & staleBit);
+        }
+    }
+}
+
+void
+ReuseProfiler::Pipeline::GroupWorker::collect(
+    ReuseProfile &profile) const
+{
+    for (std::size_t l = 0; l < scopes.size(); ++l)
+        profile.lines[l].*output = scopes[l].profiles;
+}
+
+ReuseProfiler::Pipeline::Pipeline(const ProfilerConfig &config)
+    : _config(config), _lineCount(config.lineSizes.size()),
+      _refs(ringChunks * chunkRefs),
+      _flags(ringChunks * chunkRefs * _lineCount),
+      _cluster(config.cpusPerCluster, clusterStaleBit,
+               &LineProfile::clusters),
+      _cpu(1, cpuStaleBit, &LineProfile::cpus)
+{
+    _threads.reserve(3);
+    try {
+        _threads.emplace_back(
+            [this] { work(_machine, _produced, _machineDone); });
+        _threads.emplace_back(
+            [this] { work(_cluster, _machineDone, _clusterDone); });
+        _threads.emplace_back(
+            [this] { work(_cpu, _machineDone, _cpuDone); });
+    } catch (...) {
+        stop();
+        throw;
+    }
+}
+
+ReuseProfiler::Pipeline::~Pipeline()
+{
+    stop();
+}
+
+void
+ReuseProfiler::Pipeline::stop()
+{
+    // The workers finish what was published, then follow the
+    // closed stage out.
+    _produced.close();
+    for (std::thread &thread : _threads)
+        thread.join();
+}
+
+template <typename W>
+void
+ReuseProfiler::Pipeline::work(W &worker, Stage &in, Stage &out)
+{
+    // The worker's stacks are built here, so its allocations come
+    // from its own thread's arena. A worker that failed keeps
+    // passing chunks on (unread), so nobody waits on it forever;
+    // collect() rethrows its exception.
+    try {
+        worker.start(_config);
+    } catch (...) {
+        worker.error = std::current_exception();
+    }
+    for (std::uint64_t k = 0; in.waitPast(k); ++k) {
+        std::size_t slot = k % ringChunks;
+        if (!worker.error) {
+            try {
+                worker.process(&_refs[slot * chunkRefs],
+                               &_flags[slot * chunkRefs * _lineCount],
+                               _producer.sizes[slot]);
+            } catch (...) {
+                worker.error = std::current_exception();
+            }
+        }
+        out.advance();
+    }
+    out.close();
+}
+
+ReuseProfiler::Ref *
+ReuseProfiler::Pipeline::publish(std::size_t count)
+{
+    std::uint64_t k = _producer.published++;
+    _producer.sizes[k % ringChunks] = count;
+    _produced.advance();
+    // Chunk k + 1 takes the slot of chunk k + 1 - ringChunks, which
+    // the cluster and CPU workers read last.
+    std::uint64_t next = k + 1;
+    if (next >= ringChunks) {
+        _clusterDone.waitPast(next - ringChunks);
+        _cpuDone.waitPast(next - ringChunks);
+    }
+    return &_refs[next % ringChunks * chunkRefs];
+}
+
+ReuseProfiler::Ref *
+ReuseProfiler::Pipeline::drain(std::size_t count)
+{
+    Ref *next = publish(count);
+    _clusterDone.waitPast(_producer.published - 1);
+    _cpuDone.waitPast(_producer.published - 1);
+    return next;
+}
+
+void
+ReuseProfiler::Pipeline::collect(ReuseProfile &profile) const
+{
+    for (const std::exception_ptr &error :
+         {_machine.error, _cluster.error, _cpu.error}) {
+        if (error)
+            std::rethrow_exception(error);
+    }
+    _machine.collect(profile);
+    _cluster.collect(profile);
+    _cpu.collect(profile);
+}
 
 ReuseProfiler::ReuseProfiler(ProfilerConfig config)
     : _config(std::move(config))
@@ -351,92 +826,39 @@ ReuseProfiler::ReuseProfiler(ProfilerConfig config)
         profile.clusters.resize((std::size_t)_config.numClusters);
         profile.cpus.resize((std::size_t)cpus);
         _profile.lines.push_back(std::move(profile));
-
-        LineStacks stacks;
-        stacks.lineShift =
-            (std::uint32_t)std::countr_zero(lineBytes);
-        stacks.clusters.resize((std::size_t)_config.numClusters);
-        stacks.cpus.resize((std::size_t)cpus);
-        _stacks.push_back(std::move(stacks));
     }
+
+    _pipeline = std::make_unique<Pipeline>(_config);
+    _fill = _pipeline->first();
 }
+
+ReuseProfiler::~ReuseProfiler() = default;
 
 void
 ReuseProfiler::onRef(CpuId cpu, RefType type, Addr addr)
 {
     panic_if(cpu < 0 || cpu >= _profile.totalCpus(),
              "profiled reference from unexpected cpu ", cpu);
+    bool write = type == RefType::Write;
     ++_profile.references;
-    bool isRead = type != RefType::Write;
-    if (isRead)
-        ++_profile.reads;
-    else
+    if (write)
         ++_profile.writes;
-
-    std::uint32_t shift = _config.sampleShift;
-    std::uint64_t weight = 1ull << shift;
-    int cluster = cpu / _config.cpusPerCluster;
-    auto record = [&](ScopeProfile &scope, std::uint64_t d,
-                      bool stale) {
-        ReuseHistogram &hist = isRead ? scope.reads : scope.writes;
-        if (d == StackDistance::coldDistance)
-            hist.addCold(weight);
-        else if (stale)
-            hist.addCoherence(weight);
-        else
-            hist.addDistance(d << shift, weight);
-    };
-    for (std::size_t l = 0; l < _stacks.size(); ++l) {
-        LineStacks &stacks = _stacks[l];
-        LineProfile &profile = _profile.lines[l];
-        std::uint64_t line = addr >> stacks.lineShift;
-        if (shift && (mix64(line) >> (64 - shift)) != 0)
-            continue;
-
-        // The three scopes' records live in three tables: start all
-        // three loads before the first lookup waits on its own.
-        StackDistance &clusterStack =
-            stacks.clusters[(std::size_t)cluster];
-        StackDistance &cpuStack = stacks.cpus[(std::size_t)cpu];
-        stacks.machine.prefetch(line);
-        clusterStack.prefetch(line);
-        cpuStack.prefetch(line);
-
-        MachineLine *sh;
-        record(profile.machine, stacks.machine.access(line, sh),
-               false);
-
-        // Write-invalidate sharing state. A group's copy is stale
-        // when the group held the line, nobody in it touched it
-        // since the last write, and that writer is outside the
-        // group — a sure miss regardless of reuse distance. The
-        // machine scope (one shared cache) never pays coherence.
-        std::uint64_t cpuBit = 1ull << cpu;
-        std::uint64_t clBits =
-            ((_config.cpusPerCluster >= 64
-                  ? ~0ull
-                  : (1ull << _config.cpusPerCluster) - 1))
-            << (cluster * _config.cpusPerCluster);
-        bool written = sh->lastWriter >= 0;
-        bool cpuStale = written && sh->lastWriter != cpu &&
-                        (sh->ever & cpuBit) &&
-                        !(sh->sinceWrite & cpuBit);
-        bool clusterStale =
-            written &&
-            sh->lastWriter / _config.cpusPerCluster != cluster &&
-            (sh->ever & clBits) && !(sh->sinceWrite & clBits);
-        sh->ever |= cpuBit;
-        if (isRead) {
-            sh->sinceWrite |= cpuBit;
-        } else {
-            sh->lastWriter = (std::int16_t)cpu;
-            sh->sinceWrite = cpuBit;
-        }
-
-        record(profile.clusters[(std::size_t)cluster],
-               clusterStack.access(line), clusterStale);
-        record(profile.cpus[(std::size_t)cpu], cpuStack.access(line),
-               cpuStale);
+    else
+        ++_profile.reads;
+    if (_config.sampleShift) {
+        // Under SHARDS most references touch no tracked line at any
+        // line size: keep those off the ring.
+        bool kept = false;
+        for (std::uint32_t lineBytes : _config.lineSizes)
+            kept |= sampled(addr >> std::countr_zero(lineBytes),
+                            _config.sampleShift);
+        if (!kept)
+            return;
+    }
+    _fill[_filled] = Ref{addr, (std::int16_t)cpu, write};
+    if (++_filled == chunkRefs) {
+        _fill = _pipeline->publish(_filled);
+        _filled = 0;
     }
 }
 
@@ -444,6 +866,15 @@ void
 ReuseProfiler::setInstructions(std::uint64_t instructions)
 {
     _profile.instructions = instructions;
+}
+
+const ReuseProfile &
+ReuseProfiler::profile()
+{
+    _fill = _pipeline->drain(_filled);
+    _filled = 0;
+    _pipeline->collect(_profile);
+    return _profile;
 }
 
 } // namespace scmp::model

@@ -25,14 +25,27 @@
  * Exact stack distances come from a last-access-time bitmap per
  * scope (BasicStackDistance below): one probe of a flat line table,
  * a few bitmap words and one prefix query of a Fenwick tree over
- * 64-slot words, with no heap allocation per reference. Replayed on
- * a 4-vCPU Xeon host, the three scopes together cost ~100 ns per
- * reference of a 4x8-cpu pass (DESIGN.md §14). For the fast screen
- * the profiler also supports SHARDS-style spatial sampling: only
- * lines whose address hash falls under a threshold are tracked, and
- * measured distances/counts are scaled by the sampling rate — the
- * standard fixed-rate SHARDS estimator. Rate 1 (the default) is
- * exact and what the unit tests and tests/golden/profiles pin down.
+ * 64-slot words, with no heap allocation per reference.
+ *
+ * The three scope families run on three worker threads beside the
+ * pass (DESIGN.md §14). onRef() only appends the reference to a
+ * ring of fixed-size chunks. A machine worker runs the machine
+ * stacks and the sharing masks over each chunk and writes, per
+ * reference and line size, whether the line is tracked and whether
+ * the cluster's and the CPU's copies were invalidated by a remote
+ * write; a cluster worker and a CPU worker then run their stacks
+ * over the same chunk. Each histogram depends only on its own
+ * scope's ordered stream and those stale bits, so the profile is
+ * bit for bit what one thread running the scopes in turn produces.
+ * profile() hands over the chunk being filled and waits for the
+ * workers to finish it.
+ *
+ * For the fast screen the profiler also supports SHARDS-style
+ * spatial sampling: only lines whose address hash falls under a
+ * threshold are tracked, and measured distances/counts are scaled
+ * by the sampling rate — the standard fixed-rate SHARDS estimator.
+ * Rate 1 (the default) is exact and what the unit tests and
+ * tests/golden/profiles pin down.
  */
 
 #ifndef SCMP_MODEL_REUSE_PROFILE_HH
@@ -40,10 +53,25 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "sim/line_map.hh"
 #include "sim/types.hh"
+
+/*
+ * x86-64 targets no POPCNT by default, which makes std::popcount a
+ * libgcc call; the stack tracker's two popcount loops get a POPCNT
+ * clone, picked once at load time. ThreadSanitizer builds skip the
+ * clones: their load-time resolver would run instrumented before
+ * the sanitizer's runtime is up, and crash.
+ */
+#if defined(__x86_64__) && !defined(__SANITIZE_THREAD__)
+#define SCMP_POPCNT_CLONES \
+    __attribute__((target_clones("popcnt", "default")))
+#else
+#define SCMP_POPCNT_CLONES
+#endif
 
 namespace scmp::model
 {
@@ -214,14 +242,10 @@ class BasicStackDistance
      *        first touch); valid until the next access.
      * @return the reuse distance, or coldDistance on first touch.
      */
-    std::uint64_t access(std::uint64_t line, Line *&record);
+    SCMP_POPCNT_CLONES std::uint64_t access(std::uint64_t line,
+                                            Line *&record);
 
-    std::uint64_t
-    access(std::uint64_t line)
-    {
-        Line *record;
-        return access(line, record);
-    }
+    std::uint64_t access(std::uint64_t line);
 
     std::uint64_t liveLines() const { return _lines.size(); }
 
@@ -232,7 +256,7 @@ class BasicStackDistance
     std::uint64_t distanceAbove(std::uint64_t slot) const;
     void release(std::uint64_t slot);
     std::uint32_t claim();
-    void compact();
+    SCMP_POPCNT_CLONES void compact();
     void treeAdd(std::size_t word, int delta);
     std::uint64_t treePrefix(std::size_t words) const;
 
@@ -268,11 +292,22 @@ struct ProfilerConfig
 /**
  * The one-pass profiler, fed the data-reference stream in issue
  * order by the functional profiling pass (src/model/profile_run).
+ * Its scopes run on three worker threads (see the file comment),
+ * which the destructor joins.
  */
 class ReuseProfiler
 {
   public:
+    /** References per chunk of the ring onRef() fills. */
+    static constexpr std::size_t chunkRefs = 16384;
+    /** Chunks in the ring: the producer waits when all are full. */
+    static constexpr std::size_t ringChunks = 4;
+
     explicit ReuseProfiler(ProfilerConfig config);
+    ~ReuseProfiler();
+
+    ReuseProfiler(const ReuseProfiler &) = delete;
+    ReuseProfiler &operator=(const ReuseProfiler &) = delete;
 
     /** One data reference, in issue order. */
     void onRef(CpuId cpu, RefType type, Addr addr);
@@ -280,41 +315,24 @@ class ReuseProfiler
     /** Stamp the pass's instruction count (profile_run does). */
     void setInstructions(std::uint64_t instructions);
 
-    /** The accumulated profile (valid at any point). */
-    const ReuseProfile &profile() const { return _profile; }
+    /**
+     * The profile of every reference so far: waits for the
+     * workers to finish them. Rethrows an exception a worker
+     * caught (a failed allocation, say).
+     */
+    const ReuseProfile &profile();
 
     const ProfilerConfig &config() const { return _config; }
 
   private:
-    /**
-     * The machine scope's line record: the line's time slot plus
-     * its write-invalidate sharing state. Two processor bitmasks
-     * decide, for any grouping, whether an access finds the
-     * group's copy invalidated by a remote write: the group held
-     * the line before (`ever` intersects the group) but no member
-     * touched it since the last write (`sinceWrite` misses the
-     * group) and the writer is remote.
-     */
-    struct MachineLine
-    {
-        std::uint64_t ever = 0;
-        std::uint64_t sinceWrite = 0;
-        std::uint32_t slot = 0;
-        std::int16_t lastWriter = -1;
-    };
-
-    /** Stacks for one line size: machine, clusters, cpus. */
-    struct LineStacks
-    {
-        std::uint32_t lineShift = 0;
-        BasicStackDistance<MachineLine> machine;
-        std::vector<StackDistance> clusters;
-        std::vector<StackDistance> cpus;
-    };
+    struct Ref;
+    class Pipeline;
 
     ProfilerConfig _config;
     ReuseProfile _profile;
-    std::vector<LineStacks> _stacks;
+    Ref *_fill = nullptr;     //!< the chunk being filled
+    std::size_t _filled = 0;  //!< references in it
+    std::unique_ptr<Pipeline> _pipeline;
 };
 
 } // namespace scmp::model

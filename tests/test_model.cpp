@@ -5,8 +5,11 @@
  * histogram algebra (merge associativity, dilation), the
  * profiler's scope bookkeeping on deterministic synthetic traces
  * (read-only, and mixed read/write at the sweep's 4x8 shape against
- * a reference with the write-invalidate rule), and coherence-miss
- * classification.
+ * a reference with the write-invalidate rule), coherence-miss
+ * classification, and the edges of the profiler's worker pipeline:
+ * streams ending around a chunk edge or outrunning the ring, exact
+ * and sampled, profile() asked twice, and a profiler dropped
+ * mid-stream.
  */
 
 #include <gtest/gtest.h>
@@ -172,6 +175,16 @@ TEST(ReuseHistogram, HitsUnderReadsBucketPrefix)
     EXPECT_EQ(histogram.hitsUnder(128), 3u);
 }
 
+/** The splitmix64 finalizer: ReuseProfiler's SHARDS line hash. */
+std::uint64_t
+shardsHash(std::uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+}
+
 /**
  * Reference profiler: the same scope layout as ReuseProfiler
  * (machine / cluster / cpu) built from SlowStacks, with the
@@ -179,7 +192,9 @@ TEST(ReuseHistogram, HitsUnderReadsBucketPrefix)
  * copy is stale when the scope held the line (`ever`), no member
  * touched it since the last write (`sinceWrite`), and the last
  * writer is outside the scope. A stale reuse is a coherence miss,
- * not a distance sample; the machine scope is never stale.
+ * not a distance sample; the machine scope is never stale. Under
+ * SHARDS sampling (@p shift > 0) it ignores the lines whose hash
+ * falls outside 1/2^shift of the space and scales the rest.
  */
 struct SlowScopes
 {
@@ -191,6 +206,7 @@ struct SlowScopes
     };
 
     int cpusPerCluster;
+    std::uint32_t shift;
     SlowStack machine;
     std::vector<SlowStack> clusters;
     std::vector<SlowStack> cpus;
@@ -199,8 +215,10 @@ struct SlowScopes
     std::vector<ScopeProfile> cpuScopes;
     std::map<std::uint64_t, Sharing> sharing;
 
-    SlowScopes(int numClusters, int perCluster)
-        : cpusPerCluster(perCluster), clusters(numClusters),
+    SlowScopes(int numClusters, int perCluster,
+               std::uint32_t sampleShift = 0)
+        : cpusPerCluster(perCluster), shift(sampleShift),
+          clusters(numClusters),
           cpus(numClusters * perCluster),
           clusterScopes(numClusters),
           cpuScopes(numClusters * perCluster)
@@ -210,6 +228,8 @@ struct SlowScopes
     void
     access(int cpu, RefType type, std::uint64_t line)
     {
+        if (shift && (shardsHash(line) >> (64 - shift)) != 0)
+            return;
         bool isRead = type != RefType::Write;
         int cluster = cpu / cpusPerCluster;
         std::uint64_t cpuBit = 1ull << cpu;
@@ -235,12 +255,13 @@ struct SlowScopes
         auto record = [&](ScopeProfile &scope, std::uint64_t d,
                           bool stale) {
             ReuseHistogram &h = isRead ? scope.reads : scope.writes;
+            std::uint64_t weight = 1ull << shift;
             if (d == StackDistance::coldDistance)
-                h.addCold();
+                h.addCold(weight);
             else if (stale)
-                h.addCoherence();
+                h.addCoherence(weight);
             else
-                h.addDistance(d);
+                h.addDistance(d << shift, weight);
         };
         record(machineScope, machine.access(line), false);
         record(clusterScopes[cluster], clusters[cluster].access(line),
@@ -436,6 +457,182 @@ TEST(ReuseProfiler, SamplingScalesCountsBackUp)
     EXPECT_NEAR(ratio, 1.0, 0.15)
         << "sampled=" << sampledReads.samples
         << " exact=" << exactReads.samples;
+}
+
+/**
+ * A deterministic mixed stream over 2 clusters x 2 cpus: a quarter
+ * writes, to byte addresses in private, cluster-shared and
+ * machine-shared regions, so 16 B and 64 B lines see different
+ * streams and both grouped scopes see coherence misses.
+ */
+struct MixedStream
+{
+    Lcg rng;
+
+    void
+    next(int &cpu, RefType &type, Addr &addr)
+    {
+        cpu = (int)(rng.next() % 4);
+        std::uint64_t region = rng.next() % 10;
+        if (region < 5) // private to the cpu
+            addr = 0x100000ull * (cpu + 1) + rng.next() % 2048;
+        else if (region < 8) // shared within the cluster
+            addr = 0x1000000ull + 0x100000ull * (cpu / 2) +
+                   rng.next() % 1024;
+        else // shared machine-wide
+            addr = 0x2000000ull + rng.next() % 512;
+        type = rng.next() % 4 ? RefType::Read : RefType::Write;
+    }
+};
+
+/** Both line sizes' profiles equal the slow references'. */
+void
+expectProfileMatches(const ReuseProfile &profile,
+                     const std::vector<SlowScopes> &slow,
+                     const std::vector<std::uint32_t> &lineSizes)
+{
+    for (std::size_t l = 0; l < lineSizes.size(); ++l) {
+        const LineProfile *lineProfile =
+            profile.lineFor(lineSizes[l]);
+        ASSERT_NE(lineProfile, nullptr);
+        EXPECT_EQ(lineProfile->machine, slow[l].machineScope)
+            << lineSizes[l] << " B lines";
+        for (int c = 0; c < 2; ++c)
+            EXPECT_EQ(lineProfile->clusters[c],
+                      slow[l].clusterScopes[c])
+                << lineSizes[l] << " B lines, cluster " << c;
+        for (int cpu = 0; cpu < 4; ++cpu)
+            EXPECT_EQ(lineProfile->cpus[cpu], slow[l].cpuScopes[cpu])
+                << lineSizes[l] << " B lines, cpu " << cpu;
+    }
+}
+
+/**
+ * Feed the first @p count references of MixedStream to a profiler
+ * of 16 B and 64 B lines at SHARDS shift @p shift and to one slow
+ * reference per line size: every scope must agree, reads and
+ * writes, however the stream falls on the profiler's chunks.
+ */
+void
+expectStreamMatches(std::size_t count, std::uint32_t shift)
+{
+    const std::vector<std::uint32_t> lineSizes = {16, 64};
+    ProfilerConfig config;
+    config.numClusters = 2;
+    config.cpusPerCluster = 2;
+    config.lineSizes = lineSizes;
+    config.sampleShift = shift;
+    ReuseProfiler profiler(config);
+    std::vector<SlowScopes> slow(2, SlowScopes(2, 2, shift));
+
+    MixedStream stream;
+    for (std::size_t i = 0; i < count; ++i) {
+        int cpu;
+        RefType type;
+        Addr addr;
+        stream.next(cpu, type, addr);
+        profiler.onRef(cpu, type, addr);
+        slow[0].access(cpu, type, addr >> 4);
+        slow[1].access(cpu, type, addr >> 6);
+    }
+    const ReuseProfile &profile = profiler.profile();
+    EXPECT_EQ(profile.references, count);
+    expectProfileMatches(profile, slow, lineSizes);
+    // The stream reaches the write-invalidate rule at both grouped
+    // scopes, sampled or not.
+    EXPECT_GT(slow[0].clusterScopes[0].reads.coherence, 0u);
+    EXPECT_GT(slow[1].cpuScopes[0].writes.coherence, 0u);
+}
+
+TEST(ReuseProfiler, ChunkEdgesMatchSlowReference)
+{
+    // The profiler's workers take references a chunk at a time;
+    // profile() hands over the part-filled last chunk. A stream
+    // ending one short of, exactly on, and one past a chunk edge
+    // must still count every reference once.
+    for (std::size_t count :
+         {ReuseProfiler::chunkRefs - 1, ReuseProfiler::chunkRefs,
+          ReuseProfiler::chunkRefs + 1}) {
+        SCOPED_TRACE(count);
+        expectStreamMatches(count, 0);
+    }
+}
+
+TEST(ReuseProfiler, MoreChunksThanTheRingMatchSlowReference)
+{
+    // Past the ring's capacity the producer reuses chunks the
+    // workers have finished: exact and SHARDS-sampled. Sampling
+    // keeps a reference off the ring unless a line size tracks it
+    // (under half of them at shift 2), so that stream is 4x longer.
+    std::size_t count =
+        (ReuseProfiler::ringChunks + 2) * ReuseProfiler::chunkRefs +
+        3;
+    for (std::uint32_t shift : {0u, 2u}) {
+        SCOPED_TRACE(shift);
+        expectStreamMatches(count << shift, shift);
+    }
+}
+
+TEST(ReuseProfiler, ProfileTwiceGivesTheSameProfileAndMoreRefsCount)
+{
+    // profile() is valid at any point: asking twice gives the same
+    // profile, and references fed after it are counted on top.
+    const std::vector<std::uint32_t> lineSizes = {16, 64};
+    ProfilerConfig config;
+    config.numClusters = 2;
+    config.cpusPerCluster = 2;
+    config.lineSizes = lineSizes;
+    ReuseProfiler profiler(config);
+    std::vector<SlowScopes> slow(2, SlowScopes(2, 2));
+
+    MixedStream stream;
+    auto feed = [&](std::size_t count) {
+        for (std::size_t i = 0; i < count; ++i) {
+            int cpu;
+            RefType type;
+            Addr addr;
+            stream.next(cpu, type, addr);
+            profiler.onRef(cpu, type, addr);
+            slow[0].access(cpu, type, addr >> 4);
+            slow[1].access(cpu, type, addr >> 6);
+        }
+    };
+    feed(ReuseProfiler::chunkRefs + 100);
+    ReuseProfile first = profiler.profile();
+    const ReuseProfile &second = profiler.profile();
+    EXPECT_EQ(second.references, first.references);
+    for (std::size_t l = 0; l < lineSizes.size(); ++l) {
+        EXPECT_EQ(second.lines[l].machine, first.lines[l].machine);
+        EXPECT_EQ(second.lines[l].clusters, first.lines[l].clusters);
+        EXPECT_EQ(second.lines[l].cpus, first.lines[l].cpus);
+    }
+    expectProfileMatches(first, slow, lineSizes);
+
+    feed(2 * ReuseProfiler::chunkRefs);
+    EXPECT_EQ(profiler.profile().references,
+              3 * ReuseProfiler::chunkRefs + 100);
+    expectProfileMatches(profiler.profile(), slow, lineSizes);
+}
+
+TEST(ReuseProfiler, DestroyedMidStreamJoinsItsWorkers)
+{
+    // A profiler dropped without profile(), part-way through a
+    // chunk and with chunks in flight, stops its workers and
+    // returns (a leaked worker would hang or abort the test).
+    ProfilerConfig config;
+    config.numClusters = 4;
+    config.cpusPerCluster = 8;
+    for (std::size_t count :
+         {std::size_t{0}, std::size_t{1},
+          (ReuseProfiler::ringChunks + 1) * ReuseProfiler::chunkRefs +
+              7}) {
+        ReuseProfiler profiler(config);
+        Lcg rng;
+        for (std::size_t i = 0; i < count; ++i)
+            profiler.onRef((CpuId)(rng.next() % 32), RefType::Read,
+                           (rng.next() % 100'000) * 16);
+    }
+    SUCCEED();
 }
 
 TEST(MergeCpuScopes, GroupsAndDilatesPerCpuStreams)
