@@ -28,8 +28,9 @@
  * 64-slot words, with no heap allocation per reference.
  *
  * The three scope families run on three worker threads beside the
- * pass (DESIGN.md §14). onRef() only appends the reference to a
- * ring of fixed-size chunks. A machine worker runs the machine
+ * pass (DESIGN.md §14). onRef() only counts the reference and
+ * appends it to a ring of fixed-size chunks (under SHARDS, only if
+ * some line size tracks it). A machine worker runs the machine
  * stacks and the sharing masks over each chunk and writes, per
  * reference and line size, whether the line is tracked and whether
  * the cluster's and the CPU's copies were invalidated by a remote
@@ -245,6 +246,11 @@ class BasicStackDistance
     SCMP_POPCNT_CLONES std::uint64_t access(std::uint64_t line,
                                             Line *&record);
 
+    /**
+     * access() without the record. Defined out of line, so only
+     * reuse_profile.cc calls the cloned overload and emits its
+     * load-time resolver.
+     */
     std::uint64_t access(std::uint64_t line);
 
     std::uint64_t liveLines() const { return _lines.size(); }

@@ -252,7 +252,7 @@ SweepExecutor::execute(const DesignSpace::WorkloadFactory &factory,
                     StoredPoint record = recordFor(task);
                     record.key = screenKey;
                     record.model = "analytic";
-                    record.jobs = 1;  // the screen is serial
+                    record.jobs = 1;  // one screen, whatever --jobs
                     record.result = predicted[i];
                     record.wallMs =
                         _stats.analyticMs / (double)tasks.size();

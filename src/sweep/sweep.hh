@@ -9,9 +9,12 @@
  * (fresh Machine, fresh workload, fresh Arena, deterministic
  * engine). The SweepExecutor exploits that independence: the
  * calling thread and jobs - 1 helper threads take points in order
- * from one shared cursor, a ResultStore persists each completed
- * point keyed by its stable configuration hash, and a resumed sweep
- * skips every point the store already holds.
+ * from one shared cursor (--jobs=1 runs every point on the calling
+ * thread), a ResultStore persists each completed point keyed by its
+ * stable configuration hash, and a resumed sweep skips every point
+ * the store already holds. The analytic screen's profiling pass
+ * runs once, before any point; its reuse profiler's three scope
+ * workers (src/model) run at any --jobs.
  *
  * Correctness bar: a sweep with --jobs=N produces bit-identical
  * RunResults to the serial sweep. Each point's inputs are functions
@@ -69,7 +72,11 @@ nameTable(SweepModel)
 /** Execution knobs for one sweep (the flags' reader: fromFlags). */
 struct SweepOptions
 {
-    /** Worker threads; 1 = serial, 0 = one per hardware thread. */
+    /**
+     * Design points run at once; 1 = every point on the calling
+     * thread, 0 = one per hardware thread. The profiling pass's
+     * scope workers do not count.
+     */
     int jobs = 1;
 
     /** Evaluation model (see SweepModel). */
