@@ -62,12 +62,15 @@
 
 /*
  * x86-64 targets no POPCNT by default, which makes std::popcount a
- * libgcc call; the stack tracker's two popcount loops get a POPCNT
- * clone, picked once at load time. ThreadSanitizer builds skip the
- * clones: their load-time resolver would run instrumented before
- * the sanitizer's runtime is up, and crash.
+ * libgcc call; under GCC the stack tracker's two popcount loops get
+ * a POPCNT clone, picked once at load time. Clang, whose rules for
+ * multiversioned redeclarations differ, builds the plain code.
+ * ThreadSanitizer builds skip the clones:
+ * their load-time resolver would run instrumented before the
+ * sanitizer's runtime is up, and crash.
  */
-#if defined(__x86_64__) && !defined(__SANITIZE_THREAD__)
+#if defined(__x86_64__) && !defined(__clang__) && \
+    !defined(__SANITIZE_THREAD__)
 #define SCMP_POPCNT_CLONES \
     __attribute__((target_clones("popcnt", "default")))
 #else
