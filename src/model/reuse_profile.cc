@@ -319,15 +319,15 @@ BasicStackDistance<Line>::access(std::uint64_t line, Line *&record)
     if (_clock == _live.size() * 64)
         compact();
     record = _lines.find(line);
-    if (!record) {
-        Line fresh{};
-        fresh.slot = claim();
-        _lines.set(line, fresh);
+    std::uint64_t distance = coldDistance;
+    if (record) {
+        distance = distanceAbove(record->slot);
+        release(record->slot);
+    } else {
+        _lines.set(line, Line{});
         record = _lines.find(line);
-        return coldDistance;
     }
-    std::uint64_t distance = distanceAbove(record->slot);
-    release(record->slot);
+    // One call site, so each clone inlines claim().
     record->slot = claim();
     return distance;
 }
@@ -551,7 +551,7 @@ class ReuseProfiler::Pipeline
     GroupWorker _cluster;
     GroupWorker _cpu;
 
-    /** Last, so the threads stop before what they use goes. */
+    /** Declared after all they use; ~Pipeline joins them. */
     std::vector<std::thread> _threads;
 };
 

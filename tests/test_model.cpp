@@ -460,88 +460,100 @@ TEST(ReuseProfiler, SamplingScalesCountsBackUp)
 }
 
 /**
- * A deterministic mixed stream over 2 clusters x 2 cpus: a quarter
- * writes, to byte addresses in private, cluster-shared and
- * machine-shared regions, so 16 B and 64 B lines see different
- * streams and both grouped scopes see coherence misses.
+ * A profiler of 16 B and 64 B lines over 2 clusters x 2 cpus at
+ * SHARDS shift @p shift, beside one slow reference per line size,
+ * both fed the same deterministic mixed stream: a quarter writes,
+ * to byte addresses in private, cluster-shared and machine-shared
+ * regions, so the two line sizes see different streams and both
+ * grouped scopes see coherence misses.
  */
-struct MixedStream
+struct MixedRun
 {
+    static constexpr std::uint32_t lineSizes[] = {16, 64};
+
+    ReuseProfiler profiler;
+    std::vector<SlowScopes> slow;
     Lcg rng;
 
-    void
-    next(int &cpu, RefType &type, Addr &addr)
+    explicit MixedRun(std::uint32_t shift)
+        : profiler(config(shift)), slow(2, SlowScopes(2, 2, shift))
     {
-        cpu = (int)(rng.next() % 4);
-        std::uint64_t region = rng.next() % 10;
-        if (region < 5) // private to the cpu
-            addr = 0x100000ull * (cpu + 1) + rng.next() % 2048;
-        else if (region < 8) // shared within the cluster
-            addr = 0x1000000ull + 0x100000ull * (cpu / 2) +
-                   rng.next() % 1024;
-        else // shared machine-wide
-            addr = 0x2000000ull + rng.next() % 512;
-        type = rng.next() % 4 ? RefType::Read : RefType::Write;
+    }
+
+    static ProfilerConfig
+    config(std::uint32_t shift)
+    {
+        ProfilerConfig config;
+        config.numClusters = 2;
+        config.cpusPerCluster = 2;
+        config.lineSizes.assign(std::begin(lineSizes),
+                                std::end(lineSizes));
+        config.sampleShift = shift;
+        return config;
+    }
+
+    /** Feed the stream's next @p count references to both sides. */
+    void
+    feed(std::size_t count)
+    {
+        for (std::size_t i = 0; i < count; ++i) {
+            int cpu = (int)(rng.next() % 4);
+            std::uint64_t region = rng.next() % 10;
+            Addr addr;
+            if (region < 5) // private to the cpu
+                addr = 0x100000ull * (cpu + 1) + rng.next() % 2048;
+            else if (region < 8) // shared within the cluster
+                addr = 0x1000000ull + 0x100000ull * (cpu / 2) +
+                       rng.next() % 1024;
+            else // shared machine-wide
+                addr = 0x2000000ull + rng.next() % 512;
+            RefType type =
+                rng.next() % 4 ? RefType::Read : RefType::Write;
+            profiler.onRef(cpu, type, addr);
+            slow[0].access(cpu, type, addr >> 4);
+            slow[1].access(cpu, type, addr >> 6);
+        }
+    }
+
+    /** Every scope of @p profile equals the slow references'. */
+    void
+    expectMatches(const ReuseProfile &profile) const
+    {
+        for (std::size_t l = 0; l < slow.size(); ++l) {
+            const LineProfile *lineProfile =
+                profile.lineFor(lineSizes[l]);
+            ASSERT_NE(lineProfile, nullptr);
+            EXPECT_EQ(lineProfile->machine, slow[l].machineScope)
+                << lineSizes[l] << " B lines";
+            for (int c = 0; c < 2; ++c)
+                EXPECT_EQ(lineProfile->clusters[c],
+                          slow[l].clusterScopes[c])
+                    << lineSizes[l] << " B lines, cluster " << c;
+            for (int cpu = 0; cpu < 4; ++cpu)
+                EXPECT_EQ(lineProfile->cpus[cpu],
+                          slow[l].cpuScopes[cpu])
+                    << lineSizes[l] << " B lines, cpu " << cpu;
+        }
     }
 };
 
-/** Both line sizes' profiles equal the slow references'. */
-void
-expectProfileMatches(const ReuseProfile &profile,
-                     const std::vector<SlowScopes> &slow,
-                     const std::vector<std::uint32_t> &lineSizes)
-{
-    for (std::size_t l = 0; l < lineSizes.size(); ++l) {
-        const LineProfile *lineProfile =
-            profile.lineFor(lineSizes[l]);
-        ASSERT_NE(lineProfile, nullptr);
-        EXPECT_EQ(lineProfile->machine, slow[l].machineScope)
-            << lineSizes[l] << " B lines";
-        for (int c = 0; c < 2; ++c)
-            EXPECT_EQ(lineProfile->clusters[c],
-                      slow[l].clusterScopes[c])
-                << lineSizes[l] << " B lines, cluster " << c;
-        for (int cpu = 0; cpu < 4; ++cpu)
-            EXPECT_EQ(lineProfile->cpus[cpu], slow[l].cpuScopes[cpu])
-                << lineSizes[l] << " B lines, cpu " << cpu;
-    }
-}
-
 /**
- * Feed the first @p count references of MixedStream to a profiler
- * of 16 B and 64 B lines at SHARDS shift @p shift and to one slow
- * reference per line size: every scope must agree, reads and
- * writes, however the stream falls on the profiler's chunks.
+ * The first @p count references of the mixed stream at SHARDS shift
+ * @p shift: every scope must agree with the slow reference, reads
+ * and writes, however the stream falls on the profiler's chunks.
  */
 void
 expectStreamMatches(std::size_t count, std::uint32_t shift)
 {
-    const std::vector<std::uint32_t> lineSizes = {16, 64};
-    ProfilerConfig config;
-    config.numClusters = 2;
-    config.cpusPerCluster = 2;
-    config.lineSizes = lineSizes;
-    config.sampleShift = shift;
-    ReuseProfiler profiler(config);
-    std::vector<SlowScopes> slow(2, SlowScopes(2, 2, shift));
-
-    MixedStream stream;
-    for (std::size_t i = 0; i < count; ++i) {
-        int cpu;
-        RefType type;
-        Addr addr;
-        stream.next(cpu, type, addr);
-        profiler.onRef(cpu, type, addr);
-        slow[0].access(cpu, type, addr >> 4);
-        slow[1].access(cpu, type, addr >> 6);
-    }
-    const ReuseProfile &profile = profiler.profile();
+    MixedRun run(shift);
+    run.feed(count);
+    const ReuseProfile &profile = run.profiler.profile();
     EXPECT_EQ(profile.references, count);
-    expectProfileMatches(profile, slow, lineSizes);
+    run.expectMatches(profile);
     // The stream reaches the write-invalidate rule at both grouped
     // scopes, sampled or not.
-    EXPECT_GT(slow[0].clusterScopes[0].reads.coherence, 0u);
-    EXPECT_GT(slow[1].cpuScopes[0].writes.coherence, 0u);
+    EXPECT_GT(run.slow[0].clusterScopes[0].reads.coherence, 0u);
+    EXPECT_GT(run.slow[1].cpuScopes[0].writes.coherence, 0u);
 }
 
 TEST(ReuseProfiler, ChunkEdgesMatchSlowReference)
@@ -577,41 +589,22 @@ TEST(ReuseProfiler, ProfileTwiceGivesTheSameProfileAndMoreRefsCount)
 {
     // profile() is valid at any point: asking twice gives the same
     // profile, and references fed after it are counted on top.
-    const std::vector<std::uint32_t> lineSizes = {16, 64};
-    ProfilerConfig config;
-    config.numClusters = 2;
-    config.cpusPerCluster = 2;
-    config.lineSizes = lineSizes;
-    ReuseProfiler profiler(config);
-    std::vector<SlowScopes> slow(2, SlowScopes(2, 2));
-
-    MixedStream stream;
-    auto feed = [&](std::size_t count) {
-        for (std::size_t i = 0; i < count; ++i) {
-            int cpu;
-            RefType type;
-            Addr addr;
-            stream.next(cpu, type, addr);
-            profiler.onRef(cpu, type, addr);
-            slow[0].access(cpu, type, addr >> 4);
-            slow[1].access(cpu, type, addr >> 6);
-        }
-    };
-    feed(ReuseProfiler::chunkRefs + 100);
-    ReuseProfile first = profiler.profile();
-    const ReuseProfile &second = profiler.profile();
+    MixedRun run(0);
+    run.feed(ReuseProfiler::chunkRefs + 100);
+    ReuseProfile first = run.profiler.profile();
+    const ReuseProfile &second = run.profiler.profile();
     EXPECT_EQ(second.references, first.references);
-    for (std::size_t l = 0; l < lineSizes.size(); ++l) {
+    for (std::size_t l = 0; l < first.lines.size(); ++l) {
         EXPECT_EQ(second.lines[l].machine, first.lines[l].machine);
         EXPECT_EQ(second.lines[l].clusters, first.lines[l].clusters);
         EXPECT_EQ(second.lines[l].cpus, first.lines[l].cpus);
     }
-    expectProfileMatches(first, slow, lineSizes);
+    run.expectMatches(first);
 
-    feed(2 * ReuseProfiler::chunkRefs);
-    EXPECT_EQ(profiler.profile().references,
+    run.feed(2 * ReuseProfiler::chunkRefs);
+    EXPECT_EQ(run.profiler.profile().references,
               3 * ReuseProfiler::chunkRefs + 100);
-    expectProfileMatches(profiler.profile(), slow, lineSizes);
+    run.expectMatches(run.profiler.profile());
 }
 
 TEST(ReuseProfiler, DestroyedMidStreamJoinsItsWorkers)
